@@ -209,22 +209,18 @@ def cmd_atlas(args) -> int:
         rows = " ".join(_fmt_vec(w) for w in basis.weights)
         out.both("chart", _fmt_cone(c), rows,
                  text=f"fixed point {basis.fixed_point_id}: chart {{{_fmt_cone(c)}}}, weights {rows}")
-    ok = True
-    for c in charts:
-        for d in charts:
-            m = toric.transition(fan, c, d)
-            rows = ";".join(",".join(str(x) for x in row) for row in m.exponents)
-            out.both("transition", _fmt_cone(c), _fmt_cone(d), rows,
-                     text=f"transition {{{_fmt_cone(c)}}} -> {{{_fmt_cone(d)}}}: {rows}")
-            back = toric.transition(fan, d, c)
-            if back.after(m).exponents != toric.MonomialMap.identity(fan.ambient_dim).exponents:
-                ok = False
-    for a in charts:
-        for b in charts:
-            for c in charts:
-                lhs = toric.transition(fan, b, c).after(toric.transition(fan, a, b))
-                if lhs.exponents != toric.transition(fan, a, c).exponents:
-                    ok = False
+    maps = {(c, d): toric.transition(fan, c, d) for c in charts for d in charts}
+    for (c, d), m in maps.items():
+        rows = ";".join(",".join(str(x) for x in row) for row in m.exponents)
+        out.both("transition", _fmt_cone(c), _fmt_cone(d), rows,
+                 text=f"transition {{{_fmt_cone(c)}}} -> {{{_fmt_cone(d)}}}: {rows}")
+    identity = toric.MonomialMap.identity(fan.ambient_dim).exponents
+    ok = all(
+        maps[d, c].after(m).exponents == identity for (c, d), m in maps.items()
+    ) and all(
+        maps[b, c].after(maps[a, b]).exponents == maps[a, c].exponents
+        for a in charts for b in charts for c in charts
+    )
     out.both("cocycle", str(ok).lower(),
              text=f"cocycle identities: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1

@@ -163,8 +163,16 @@ def intersect_generators(gens1, gens2, n) -> tuple[Vector, ...]:
     """Extreme rays of the intersection of two simplicial cones in Z^n."""
     if not gens1 or not gens2:
         return ()
-    ineq1, eq1 = halfspace_description(gens1, n)
-    ineq2, eq2 = halfspace_description(gens2, n)
+    return intersect_descriptions(
+        halfspace_description(gens1, n), halfspace_description(gens2, n), n
+    )
+
+
+def intersect_descriptions(desc1, desc2, n) -> tuple[Vector, ...]:
+    """Extreme rays of the intersection of two cones in Z^n, each given as
+    an (ineqs, eqns) pair as returned by halfspace_description."""
+    ineq1, eq1 = desc1
+    ineq2, eq2 = desc2
     eqns = eq1 + eq2
     ineqs = ineq1 + ineq2
     if eqns:

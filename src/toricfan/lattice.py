@@ -264,17 +264,18 @@ def det(m) -> int:
 def dual_basis(g) -> Matrix:
     """Rows A_i with <A_i, G_j> = delta_ij for a unimodular square G.
 
-    Unimodularity of G makes the dual basis integral.
+    Integer arithmetic only: the Hermite form of G is U*G with U
+    unimodular, and it is the identity exactly when G is unimodular; then
+    U = G^{-1} and A = (G^{-1})^T = U^T.
     """
     g = mat(g)
     n = len(g)
-    d = det(g)
-    if d not in (1, -1):
-        raise NotUnimodular(f"|det| = {abs(d)}, expected 1")
-    inv = _fraction_inverse(g)
-    # A = (G^T)^{-1} = (G^{-1})^T, entries are exact integers here
-    assert all(f.denominator == 1 for row in inv for f in row)
-    return tuple(tuple(int(inv[j][i]) for j in range(n)) for i in range(n))
+    if n == 0 or any(len(r) != n for r in g):
+        raise ValueError("dual basis needs a square nonempty matrix")
+    h, u = hnf(g)
+    if h != identity(n):
+        raise NotUnimodular(f"|det| = {abs(det(g))}, expected 1")
+    return transpose(u)
 
 
 def is_part_of_basis(g) -> bool:

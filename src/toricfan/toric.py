@@ -97,15 +97,23 @@ def chart_label(indices) -> str:
     return "p" + "-".join(str(i) for i in sorted(indices))
 
 
-def isotropy_weights(f: Fan, cone_indices) -> WeightBasis:
-    """Weight basis of the fixed point of a full-dimensional cone."""
+def _chart_weights(f: Fan, cone_indices) -> Matrix:
+    """The fan's cached dual basis of a full-dimensional maximal cone."""
     c = tuple(sorted(cone_indices))
     if c not in f.maximal_cones or len(c) != f.ambient_dim:
         raise NotMaximal(
             f"{set(cone_indices) if cone_indices else '{}'} is not a "
             "full-dimensional maximal cone"
         )
-    return WeightBasis(chart_label(c), lattice.dual_basis(f.generators(c)))
+    weights = f.chart_weights(c)
+    if weights is None:
+        raise NotUnimodular(f"|det| = {abs(lattice.det(f.generators(c)))}, expected 1")
+    return weights
+
+
+def isotropy_weights(f: Fan, cone_indices) -> WeightBasis:
+    """Weight basis of the fixed point of a full-dimensional cone."""
+    return WeightBasis(chart_label(cone_indices), _chart_weights(f, cone_indices))
 
 
 def transition(f: Fan, source, target) -> MonomialMap:
@@ -118,7 +126,7 @@ def transition(f: Fan, source, target) -> MonomialMap:
     src = tuple(sorted(source))
     if src not in f.maximal_cones or len(src) != f.ambient_dim:
         raise NotMaximal(f"{set(source)} is not a full-dimensional maximal cone")
-    a_target = isotropy_weights(f, target).weights
+    a_target = _chart_weights(f, target)
     g_source = f.generators(src)
     exponents = tuple(
         tuple(lattice.dot(arow, g) for g in g_source) for arow in a_target

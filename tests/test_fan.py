@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,11 +8,16 @@ from corpus import (
     complete_builtins,
     incomplete_fans,
     invalid_fans,
+    random_two_cone_fans,
     subdivision_iterates,
 )
 from oracles import brute_validate
+from toricfan import fan as fan_module
+from toricfan import lattice
+from toricfan.cone import halfspace_description, intersect_generators
 from toricfan.errors import DegenerateSubdivision, MalformedInput, NotMaximal
 from toricfan.fan import (
+    Violation,
     is_complete_facet,
     is_complete_raycast,
     make_fan,
@@ -110,6 +116,109 @@ class TestValidate:
             assert validate(f).ok == brute_validate(
                 f.rays, f.maximal_cones, f.ambient_dim
             )
+
+
+def reference_violations(f):
+    """Violations as found by intersecting every pair of independent
+    maximal cones from their generators, with no pruning and no cache."""
+    violations = []
+    independent = []
+    for c in f.maximal_cones:
+        gens = f.generators(c)
+        if not gens:
+            independent.append(c)
+            continue
+        if lattice.rational_rank(gens) != len(gens):
+            violations.append(
+                Violation("unimodular", (c,), "generators are linearly dependent")
+            )
+            continue
+        independent.append(c)
+        if not lattice.is_part_of_basis(gens):
+            violations.append(
+                Violation("unimodular", (c,), "generators are not part of a Z-basis")
+            )
+    for c, d in combinations(independent, 2):
+        shared = tuple(sorted(set(c) & set(d)))
+        expected = set(f.generators(shared))
+        got = set(intersect_generators(f.generators(c), f.generators(d), f.ambient_dim))
+        if got != expected:
+            violations.append(
+                Violation(
+                    "intersection",
+                    (c, d),
+                    f"intersection has rays {sorted(got)}, "
+                    f"common face has rays {sorted(expected)}",
+                )
+            )
+    return tuple(violations)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the double-description intersections validate falls back to
+    for pairs the separation certificate does not settle."""
+    calls = []
+    original = fan_module.intersect_descriptions
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fan_module, "intersect_descriptions", counting)
+    return calls
+
+
+class TestDescriptionCache:
+    def test_matches_halfspace_description(self):
+        fans = list(complete_builtins().values()) + subdivision_iterates()
+        fans += incomplete_fans() + invalid_fans()
+        for f in fans:
+            for c in f.maximal_cones:
+                expected = halfspace_description(f.generators(c), f.ambient_dim)
+                assert f.description(c) == expected, (f, c)
+
+    def test_cached_once(self):
+        f = cpn(3)
+        assert f.description((0, 1, 2)) is f.description((2, 1, 0))
+        assert f.description((0, 1, 2))[0] is f.chart_weights((0, 1, 2))
+
+
+class TestSeparationCertificate:
+    def test_certifies_every_pair_of_builtins(self, fallbacks):
+        fans = [cpn(k) for k in range(2, 11)]
+        fans += [hirzebruch(a) for a in range(5)]
+        fans += [quadrant(2), quadrant(3)]
+        for f in fans:
+            assert validate(f).ok, f
+        assert len(fallbacks) == 0
+
+    def test_fallback_count_on_subdivision_chain(self, fallbacks):
+        counts = []
+        for f in subdivision_iterates(seed=0, rounds=3, bases=("cp3",)):
+            before = len(fallbacks)
+            assert validate(f).ok
+            counts.append(len(fallbacks) - before)
+        assert counts == [0, 4, 8]
+
+    def test_invalid_pairs_reach_the_fallback(self, fallbacks):
+        f = make_fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
+        assert not validate(f).ok
+        assert len(fallbacks) == 1
+
+    def test_violations_match_unpruned_reference(self):
+        instances = [f for f in complete_builtins().values() if f.ambient_dim <= 3]
+        instances += subdivision_iterates(seed=0, rounds=2, bases=("cp2", "hirzebruch1"))
+        instances += subdivision_iterates(seed=3, rounds=2, bases=("hirzebruch0",))
+        instances += [f for f in incomplete_fans() if f.ambient_dim <= 3]
+        instances += invalid_fans()
+        instances += random_two_cone_fans(30, seed=5)
+        invalid = 0
+        for f in instances:
+            expected = reference_violations(f)
+            assert validate(f).violations == expected, f
+            invalid += bool(expected)
+        assert invalid >= 5
 
 
 class TestSigma:

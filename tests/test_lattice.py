@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +150,40 @@ class TestDualBasis:
         a = lattice.dual_basis(g)
         assert lattice.mat_mul(a, lattice.transpose(g)) == lattice.identity(n)
         assert lattice.dual_basis(a) == g
+
+    @given(st.integers(1, 8), st.integers(0, 10 ** 6), st.integers(0, 30))
+    @settings(max_examples=80)
+    def test_pairing_up_to_dimension_eight(self, n, seed, ops):
+        g = random_unimodular(n, random.Random(seed), ops=ops)
+        a = lattice.dual_basis(g)
+        assert lattice.mat_mul(a, lattice.transpose(g)) == lattice.identity(n)
+
+    def test_rejects_singular_and_non_square(self):
+        with pytest.raises(NotUnimodular):
+            lattice.dual_basis(((1, 2), (2, 4)))
+        with pytest.raises(ValueError):
+            lattice.dual_basis(((1, 0, 0), (0, 1, 0)))
+
+    def test_check_survives_optimized_mode(self):
+        # python -O strips assert statements; the unimodularity check must
+        # raise regardless
+        code = (
+            "from toricfan import lattice\n"
+            "from toricfan.errors import NotUnimodular\n"
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "for g in (((1, 0), (1, 2)), ((1, 2), (2, 4)), ((2, 0, 0), (0, 1, 0), (0, 0, 1))):\n"
+            "    try:\n"
+            "        lattice.dual_basis(g)\n"
+            "    except NotUnimodular:\n"
+            "        continue\n"
+            "    raise SystemExit(f'no NotUnimodular for {g}')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lattice.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60, check=False)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestIsPartOfBasis:
