@@ -8,6 +8,7 @@ malformed input or usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -227,6 +228,10 @@ def cmd_atlas(args) -> int:
 
 
 def cmd_limit(args) -> int:
+    if not math.isfinite(args.r):
+        raise BadParam(f"--r must be a finite number, got {args.r}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise BadParam(f"--tol must be a positive finite number, got {args.tol}")
     out = Output(args.format == "machine")
     fan = _read_fan(args.fan, out)
     if not _require_valid(fan, out):

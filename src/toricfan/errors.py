@@ -63,4 +63,4 @@ class UnknownBuiltin(ToricFanError):
 
 
 class BadParam(ToricFanError):
-    """Builtin fan parameter out of range."""
+    """A builtin fan parameter or a flow parameter out of range."""

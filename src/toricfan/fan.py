@@ -71,9 +71,12 @@ class Fan:
                 closure.update(combinations(c, k))
         self._table = table
         self._maximal = tuple(sorted(maximal))
+        self._maximal_set = frozenset(maximal)
         self._closure = frozenset(closure)
         self._weight_cache: dict[IndexSet, tuple | None] = {}
         self._description_cache: dict[IndexSet, tuple] = {}
+        self._facet_map: dict[IndexSet, tuple[IndexSet, ...]] | None = None
+        self._facet_verdict: tuple[bool, FacetReport] | None = None
 
     @property
     def table(self) -> RayTable:
@@ -95,10 +98,38 @@ class Fan:
     def maximal_cones(self) -> tuple[IndexSet, ...]:
         return self._maximal
 
+    def is_maximal(self, indices: IndexSet) -> bool:
+        """Is the sorted index set one of the maximal cones?  O(1)."""
+        return indices in self._maximal_set
+
     @property
     def cones(self) -> frozenset[IndexSet]:
         """Face closure: every cone of the fan as a sorted index set."""
         return self._closure
+
+    @property
+    def facet_map(self) -> dict[IndexSet, tuple[IndexSet, ...]]:
+        """Each codimension-one cone mapped to the full-dimensional maximal
+        cones containing it (possibly none), in ascending order; built on
+        first use in O(m*n) for m maximal cones of at most n rays.
+
+        A full-dimensional cone containing an (n-1)-cone is that cone plus
+        one ray, so it is found from its own facets.  Codimension-one faces
+        of the other maximal cones are keys too, so the keys are exactly
+        the (n-1)-cones of the face closure.
+        """
+        if self._facet_map is None:
+            n = self.ambient_dim
+            incidence: dict[IndexSet, list[IndexSet]] = {}
+            for c in self._maximal:
+                if len(c) == n:
+                    for i in range(n):
+                        incidence.setdefault(c[:i] + c[i + 1:], []).append(c)
+                elif len(c) >= n - 1:
+                    for facet in combinations(c, n - 1):
+                        incidence.setdefault(facet, [])
+            self._facet_map = {k: tuple(v) for k, v in incidence.items()}
+        return self._facet_map
 
     def cone(self, indices) -> Cone:
         idx = tuple(sorted(indices))
@@ -107,7 +138,8 @@ class Fan:
         return Cone(self._table, idx)
 
     def generators(self, indices) -> tuple:
-        return tuple(self._table[i] for i in indices)
+        rays = self._table.rays
+        return tuple([rays[i] for i in indices])
 
     def chart_weights(self, indices):
         """Dual basis rows of a full-dimensional unimodular cone, cached;
@@ -272,10 +304,18 @@ class SimplicialComplex:
 
     @property
     def maximal_faces(self) -> tuple[IndexSet, ...]:
-        return tuple(sorted(
-            c for c in self.faces
-            if not any(set(c) < set(d) for d in self.faces)
-        ))
+        """Faces lying strictly inside no other face.
+
+        A face strictly inside another lies strictly inside a maximal one,
+        which is longer; so scanning longest first, each face needs
+        comparing only with the maximal faces kept so far.
+        """
+        kept: list[tuple[frozenset, IndexSet]] = []
+        for c in sorted(self.faces, key=len, reverse=True):
+            s = frozenset(c)
+            if not any(s < k for k, _ in kept):
+                kept.append((s, c))
+        return tuple(sorted(c for _, c in kept))
 
 
 def sigma(f: Fan) -> SimplicialComplex:
@@ -330,18 +370,18 @@ def is_complete_facet(f: Fan) -> tuple[bool, FacetReport]:
 
     A valid fan is complete iff it has at least one maximal cone, is pure
     of top dimension, and every codimension-one cone is a face of exactly
-    two full-dimensional cones.
+    two full-dimensional cones.  The counts come from `Fan.facet_map`, and
+    the verdict is computed once per fan.
     """
-    n = f.ambient_dim
-    top = [c for c in f.maximal_cones if len(c) == n]
-    undominated = tuple(c for c in f.maximal_cones if len(c) < n)
-    pure = not undominated
-    counts = []
-    for facet in sorted(c for c in f.cones if len(c) == n - 1):
-        inc = sum(1 for c in top if set(facet) <= set(c))
-        counts.append((facet, inc))
-    complete = bool(top) and pure and all(k == 2 for _, k in counts)
-    return complete, FacetReport(complete, pure, tuple(counts), undominated)
+    if f._facet_verdict is None:
+        n = f.ambient_dim
+        top = any(len(c) == n for c in f.maximal_cones)
+        undominated = tuple(c for c in f.maximal_cones if len(c) < n)
+        pure = not undominated
+        counts = tuple(sorted((facet, len(cs)) for facet, cs in f.facet_map.items()))
+        complete = top and pure and all(k == 2 for _, k in counts)
+        f._facet_verdict = complete, FacetReport(complete, pure, counts, undominated)
+    return f._facet_verdict
 
 
 RAYCAST_BOUND = 97

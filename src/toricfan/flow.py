@@ -6,9 +6,10 @@ In a chart with weight basis alpha_1..alpha_n, the flow of a direction
     dz_j/dr = 2*pi*(<u, alpha_j> + i <v, alpha_j>) z_j,
 
 whose solution is the closed-form curve used throughout this module.
-Exponent pairings are computed in exact rational arithmetic; only the
-final exponential is floating point, so the signs deciding convergence
-are never corrupted.  Trajectories are followed across charts: the stay
+Exponent pairings are computed exactly, as integers once the direction
+is scaled to an integer vector on its ray; only the rates and the final
+exponential are floating point, so the signs deciding convergence are
+never corrupted.  Trajectories are followed across charts: the stay
 region of a chart is the unit polydisc, and leaving it triggers a switch
 through the exact monomial transition map.
 """
@@ -19,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import lattice
 from .errors import (
@@ -29,7 +31,7 @@ from .errors import (
     ZeroCoordinateStart,
 )
 from .fan import Fan, IndexSet, is_complete_facet, support_contains
-from .toric import WeightBasis, isotropy_weights, transition
+from .toric import WeightBasis, isotropy_weights, transition, weight_matrix
 
 TWO_PI = 2.0 * math.pi
 # chart-switch trigger: a coordinate modulus exceeding 1 + POLYDISC_MARGIN
@@ -87,11 +89,20 @@ class LimitReport:
     converged: bool
 
 
+def integer_direction(v) -> tuple[tuple[int, ...], int]:
+    """(L*v, L) for L the lcm of the denominators of the rational entries
+    of v: an integer vector on the same ray, so every pairing keeps its
+    sign and <L*v, a> / L is the exact pairing <v, a>."""
+    x = [Fraction(t) for t in v]
+    scale = math.lcm(*(t.denominator for t in x))
+    return tuple(t.numerator * (scale // t.denominator) for t in x), scale
+
+
 def limit_stratum(f: Fan, xi):
     """The index set I with xi in the relative interior of the cone over I;
     the flow of xi converges into the stratum of I as r -> -infinity.
     None only for directions outside the support of an incomplete fan."""
-    return support_contains(f, tuple(Fraction(t) for t in xi))
+    return support_contains(f, integer_direction(xi)[0])
 
 
 def pairing_rates(weights: WeightBasis, d: Direction):
@@ -114,11 +125,13 @@ def _factor(u, v, r: float) -> complex:
     return complex(mag * math.cos(phase), mag * math.sin(phase))
 
 
+def _closed_form(rates, coords, r: float) -> tuple[complex, ...]:
+    return tuple(_factor(u, v, r) * z for (u, v), z in zip(rates, coords))
+
+
 def curve_point(weights: WeightBasis, q: ChartPoint, d: Direction, r: float) -> ChartPoint:
     """Closed form of the flow after parameter r, started at q."""
-    rates = pairing_rates(weights, d)
-    coords = tuple(_factor(u, v, r) * z for (u, v), z in zip(rates, q.coords))
-    return ChartPoint(q.chart, coords)
+    return ChartPoint(q.chart, _closed_form(pairing_rates(weights, d), q.coords, r))
 
 
 def integrate(weights: WeightBasis, q: ChartPoint, d: Direction,
@@ -154,14 +167,26 @@ def _max_modulus(coords) -> float:
     return max(abs(z) for z in coords)
 
 
+def _pairings(rows, v: tuple[int, ...]) -> list[int]:
+    return [sum(map(mul, row, v)) for row in rows]
+
+
 def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[TrajectorySegment]:
     """Follow the flow from r = 0 to r_final across charts.
 
     Within a chart the closed form is used, so switch times are exact
-    threshold crossings of the coordinate moduli.  On a switch, the next
-    chart is the maximal cone containing the target stratum that shares a
-    facet with the current chart when one exists; otherwise any maximal
-    cone whose polydisc contains the transformed point.
+    threshold crossings of the coordinate moduli.  On a switch, the
+    candidates are the full-dimensional cones containing the target
+    stratum that share a facet with the current chart (read off
+    `Fan.facet_map`), or, when there is none, every other
+    full-dimensional cone.  The next chart is the candidate whose
+    transformed point has the smallest largest modulus (ties go to the
+    smaller index set); a candidate whose transition map divides by zero,
+    overflows or gives a non-finite coordinate is skipped.
+
+    The direction is scaled once to an integer vector xi' = L*xi, so the
+    exact pairings with a chart's weights are integers p, and the rates
+    p / L are the correctly rounded floats of the rational pairings.
     """
     threshold = 1.0 + POLYDISC_MARGIN
     n = f.ambient_dim
@@ -169,14 +194,19 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
     if not complete:
         raise NotComplete("trajectory tracking needs a complete fan")
     chart = tuple(sorted(start.chart))
-    if chart not in f.maximal_cones or len(chart) != n:
+    if not f.is_maximal(chart) or len(chart) != n:
         raise NotMaximal(f"start chart {set(start.chart)} is not a full-dimensional cone")
     if any(z == 0 for z in start.coords):
         raise ZeroCoordinateStart("start must lie in the free orbit (no zero coordinate)")
 
     forward = r_final > 0
-    target_xi = tuple(-t for t in d.xi) if forward else d.xi
-    target = limit_stratum(f, target_xi) or ()
+    xi, scale = integer_direction(d.xi)
+    target_xi = tuple(-t for t in xi) if forward else xi
+    target = set(limit_stratum(f, target_xi) or ())
+    if d.angular is None:
+        angular = None
+    else:
+        angular, angular_scale = integer_direction(d.angular)
     segments: list[TrajectorySegment] = []
     r = 0.0
     z = start.coords
@@ -185,14 +215,20 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
     s = 1.0 if forward else -1.0
     switches = 0
     max_switches = 8 * len(f.maximal_cones) + 16
+    facet_map = f.facet_map
 
     while True:
-        weights = isotropy_weights(f, chart)
-        rates = pairing_rates(weights, d)
+        rows = weight_matrix(f, chart)
+        growth = _pairings(rows, xi)
+        if angular is None:
+            turns = [0.0] * n
+        else:
+            turns = [q / angular_scale for q in _pairings(rows, angular)]
+        rates = [(p / scale, v) for p, v in zip(growth, turns)]
         # exact threshold crossings of the growing coordinates
         t_event = None
-        for (u, _), x in zip(rates, z):
-            if u * (1 if forward else -1) <= 0:
+        for p, (u, _), x in zip(growth, rates, z):
+            if (p if forward else -p) <= 0:
                 continue
             mod = abs(x)
             if mod == 0.0:
@@ -200,31 +236,30 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
             if mod >= threshold:
                 t_event = 0.0
                 break
-            t_cross = math.log(threshold / mod) / (TWO_PI * abs(float(u)))
+            t_cross = math.log(threshold / mod) / (TWO_PI * abs(u))
             if t_event is None or t_cross < t_event:
                 t_event = t_cross
         remaining = abs(r_final - r)
         if t_event is None or t_event >= remaining:
-            end = curve_point(weights, ChartPoint(chart, z), d, r_final - r)
-            segments.append(TrajectorySegment(chart, r, r_final, z, end.coords))
+            end = _closed_form(rates, z, r_final - r)
+            segments.append(TrajectorySegment(chart, r, r_final, z, end))
             return segments
         r_event = r + s * t_event
-        at_event = curve_point(weights, ChartPoint(chart, z), d, s * t_event)
-        segments.append(TrajectorySegment(chart, r, r_event, z, at_event.coords))
+        at_event = _closed_form(rates, z, s * t_event)
+        segments.append(TrajectorySegment(chart, r, r_event, z, at_event))
 
-        candidates = [
-            c for c in f.maximal_cones
-            if len(c) == n and c != chart
-            and set(target) <= set(c)
-            and len(set(chart) & set(c)) == n - 1
-        ]
+        candidates = sorted(
+            c for i in range(n)
+            for c in facet_map[chart[:i] + chart[i + 1:]]
+            if c != chart and target <= set(c)
+        )
         if not candidates:
             candidates = [c for c in f.maximal_cones if len(c) == n and c != chart]
         best = None
         for c in candidates:
             try:
-                w = transition(f, chart, c).apply(at_event.coords)
-            except ZeroDivisionError:
+                w = transition(f, chart, c).apply(at_event)
+            except (ZeroDivisionError, OverflowError):
                 continue
             if not all(cmath.isfinite(x) for x in w):
                 continue
@@ -248,7 +283,8 @@ def verify_limit(f: Fan, xi, start: ChartPoint, tol: float = DEFAULT_TOL,
     the final chart: coordinates dual to the rays of the predicted stratum
     must be below tol in modulus, all others bounded away from zero.  The
     residual is the largest must-vanish modulus, or infinity when some
-    must-survive coordinate dropped below tol.
+    must-survive coordinate dropped below tol or any coordinate is not
+    finite.
     """
     stratum = limit_stratum(f, xi)
     segments = track(f, start, direction(xi), r_final)
@@ -256,7 +292,9 @@ def verify_limit(f: Fan, xi, start: ChartPoint, tol: float = DEFAULT_TOL,
     inside = set(stratum)
     residual = 0.0
     for ray, coord in zip(last.chart, last.end):
-        if ray in inside:
+        if not cmath.isfinite(coord):
+            residual = math.inf
+        elif ray in inside:
             residual = max(residual, abs(coord))
         elif abs(coord) < tol:
             residual = math.inf

@@ -10,6 +10,7 @@ corresponding full-dimensional cone's primitive generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import lattice
 from .errors import InconsistentData, MalformedInput, NotMaximal, NotPure, NotUnimodular
@@ -97,10 +98,12 @@ def chart_label(indices) -> str:
     return "p" + "-".join(str(i) for i in sorted(indices))
 
 
-def _chart_weights(f: Fan, cone_indices) -> Matrix:
-    """The fan's cached dual basis of a full-dimensional maximal cone."""
+def weight_matrix(f: Fan, cone_indices) -> Matrix:
+    """The fan's cached dual basis of a full-dimensional maximal cone: the
+    rows of its fixed point's weight basis.  Raises NotMaximal for any
+    other index set and NotUnimodular when the cone has no dual basis."""
     c = tuple(sorted(cone_indices))
-    if c not in f.maximal_cones or len(c) != f.ambient_dim:
+    if not f.is_maximal(c) or len(c) != f.ambient_dim:
         raise NotMaximal(
             f"{set(cone_indices) if cone_indices else '{}'} is not a "
             "full-dimensional maximal cone"
@@ -113,7 +116,7 @@ def _chart_weights(f: Fan, cone_indices) -> Matrix:
 
 def isotropy_weights(f: Fan, cone_indices) -> WeightBasis:
     """Weight basis of the fixed point of a full-dimensional cone."""
-    return WeightBasis(chart_label(cone_indices), _chart_weights(f, cone_indices))
+    return WeightBasis(chart_label(cone_indices), weight_matrix(f, cone_indices))
 
 
 def transition(f: Fan, source, target) -> MonomialMap:
@@ -124,12 +127,12 @@ def transition(f: Fan, source, target) -> MonomialMap:
     matrix is the transposed generator matrix of its cone.
     """
     src = tuple(sorted(source))
-    if src not in f.maximal_cones or len(src) != f.ambient_dim:
+    if not f.is_maximal(src) or len(src) != f.ambient_dim:
         raise NotMaximal(f"{set(source)} is not a full-dimensional maximal cone")
-    a_target = _chart_weights(f, target)
+    a_target = weight_matrix(f, target)
     g_source = f.generators(src)
     exponents = tuple(
-        tuple(lattice.dot(arow, g) for g in g_source) for arow in a_target
+        tuple(sum(map(mul, arow, g)) for g in g_source) for arow in a_target
     )
     return MonomialMap(exponents)
 

@@ -163,6 +163,19 @@ class TestLimit:
     def test_bad_direction_length(self, cp2_file):
         assert main(["limit", cp2_file, "--xi", "1,2,3"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_r_rejected(self, cp2_file, value, capsys):
+        assert main(["limit", cp2_file, "--xi=1,-1", f"--r={value}"]) == 2
+        assert "--r must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "-1e-3", "nan", "inf", "-inf"])
+    def test_bad_tol_rejected(self, cp2_file, value, capsys):
+        assert main(["limit", cp2_file, "--xi=1,-1", f"--tol={value}"]) == 2
+        assert "--tol must be a positive finite number" in capsys.readouterr().err
+
+    def test_finite_parameters_accepted(self, cp2_file):
+        assert main(["limit", cp2_file, "--xi=1,-1", "--r=-12.5", "--tol=1e-3"]) == 0
+
 
 class TestLib:
     def test_emits_parseable_fan(self, capsys):

@@ -17,6 +17,8 @@ from toricfan import lattice
 from toricfan.cone import halfspace_description, intersect_generators
 from toricfan.errors import DegenerateSubdivision, MalformedInput, NotMaximal
 from toricfan.fan import (
+    FacetReport,
+    SimplicialComplex,
     Violation,
     is_complete_facet,
     is_complete_raycast,
@@ -245,6 +247,36 @@ class TestSigma:
             assert set(s.maximal_faces) == set(f.maximal_cones)
 
 
+def brute_maximal_faces(faces):
+    return tuple(sorted(
+        c for c in faces if not any(set(c) < set(d) for d in faces)
+    ))
+
+
+class TestMaximalFaces:
+    def test_matches_definition_on_fans(self):
+        for f in list(complete_builtins().values()) + subdivision_iterates() + incomplete_fans():
+            s = sigma(f)
+            assert s.maximal_faces == brute_maximal_faces(s.faces)
+
+    def test_matches_definition_on_families_not_subset_closed(self):
+        rng = random.Random(5)
+        families = [
+            frozenset({(), (0, 1, 2), (1, 2), (3,), (2, 3)}),
+            frozenset({(), (0,), (1,), (0, 1)}),
+            frozenset({()}),
+        ]
+        for _ in range(40):
+            verts = range(rng.randint(1, 6))
+            families.append(frozenset({()} | {
+                tuple(sorted(rng.sample(verts, rng.randint(1, len(verts)))))
+                for _ in range(rng.randint(1, 12))
+            }))
+        for faces in families:
+            s = SimplicialComplex(6, faces)
+            assert s.maximal_faces == brute_maximal_faces(faces)
+
+
 class TestSupportContains:
     def test_interior_of_standard_chart(self):
         assert support_contains(CP2, (2, 1)) == (0, 1)
@@ -303,6 +335,58 @@ class TestCompletenessFacet:
         complete, report = is_complete_facet(f)
         assert not complete and not report.pure
         assert report.undominated == ((0,),)
+
+
+def reference_facet_report(f):
+    """The facet criterion by its definition: every codimension-one cone
+    of the face closure against every full-dimensional maximal cone."""
+    n = f.ambient_dim
+    top = [c for c in f.maximal_cones if len(c) == n]
+    undominated = tuple(c for c in f.maximal_cones if len(c) < n)
+    pure = not undominated
+    counts = tuple(
+        (facet, sum(1 for c in top if set(facet) <= set(c)))
+        for facet in sorted(c for c in f.cones if len(c) == n - 1)
+    )
+    complete = bool(top) and pure and all(k == 2 for _, k in counts)
+    return complete, FacetReport(complete, pure, counts, undominated)
+
+
+def facet_corpus():
+    non_pure = make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (2,), (3,)])
+    # maximal cones with n + 1 rays: their (n-1)-faces lie in no
+    # full-dimensional cone, or in one that shares them
+    wide2 = make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1, 2)])
+    wide2_mixed = make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1, 2), (2, 3)])
+    wide3 = make_fan(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (0, 0, -1)],
+        [(0, 1, 2, 3), (0, 1, 4)],
+    )
+    return (
+        list(complete_builtins().values()) + subdivision_iterates()
+        + incomplete_fans() + invalid_fans()
+        + [non_pure, wide2, wide2_mixed, wide3, cp1(), quadrant(1)]
+    )
+
+
+class TestFacetMap:
+    def test_report_matches_definition(self):
+        for f in facet_corpus():
+            assert is_complete_facet(f) == reference_facet_report(f)
+
+    def test_map_matches_definition(self):
+        for f in facet_corpus():
+            n = f.ambient_dim
+            top = [c for c in f.maximal_cones if len(c) == n]
+            expected = {
+                facet: tuple(c for c in top if set(facet) <= set(c))
+                for facet in f.cones if len(facet) == n - 1
+            }
+            assert f.facet_map == expected
+
+    def test_verdict_computed_once(self):
+        f = hirzebruch(2)
+        assert is_complete_facet(f) is is_complete_facet(f)
 
 
 class TestCompletenessRaycast:

@@ -5,14 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import complete_builtins
-from toricfan import flow, toric
+from corpus import complete_builtins, subdivision_iterates
+from toricfan import cli, flow, toric
 from toricfan.errors import (
     NonFiniteState,
     NotComplete,
     NotMaximal,
+    NotUnimodular,
+    TrackingError,
     ZeroCoordinateStart,
 )
+from toricfan.fan import is_complete_facet, make_fan, support_contains
+from toricfan.formats import dump_fan
 from toricfan.library import cp1, cpn, quadrant
 from toricfan.toric import WeightBasis
 
@@ -275,3 +279,233 @@ class TestTrajectorySamples:
         assert charts == {s.chart for s in segs}
         for r, chart, coords in rows:
             assert len(coords) == 2
+
+
+def reference_track(f, start, d, r_final):
+    """Chart-by-chart tracking by its first definition: a weight basis and
+    the closed form per segment, and at every switch a scan of all maximal
+    cones for facet neighbours holding the target stratum, each mapped
+    through transition(...).apply.  Candidates whose map overflows are
+    skipped, like those that divide by zero."""
+    threshold = 1.0 + flow.POLYDISC_MARGIN
+    n = f.ambient_dim
+    if not is_complete_facet(f)[0]:
+        raise NotComplete("trajectory tracking needs a complete fan")
+    chart = tuple(sorted(start.chart))
+    if chart not in f.maximal_cones or len(chart) != n:
+        raise NotMaximal(f"start chart {set(start.chart)} is not a full-dimensional cone")
+    if any(z == 0 for z in start.coords):
+        raise ZeroCoordinateStart("start must lie in the free orbit (no zero coordinate)")
+    forward = r_final > 0
+    target_xi = tuple(-t for t in d.xi) if forward else d.xi
+    target = support_contains(f, tuple(Fraction(t) for t in target_xi)) or ()
+    segments = []
+    r = 0.0
+    z = start.coords
+    if r_final == 0:
+        return [flow.TrajectorySegment(chart, 0.0, 0.0, z, z)]
+    s = 1.0 if forward else -1.0
+    switches = 0
+    max_switches = 8 * len(f.maximal_cones) + 16
+    while True:
+        weights = toric.isotropy_weights(f, chart)
+        rates = flow.pairing_rates(weights, d)
+        t_event = None
+        for (u, _), x in zip(rates, z):
+            if u * (1 if forward else -1) <= 0:
+                continue
+            mod = abs(x)
+            if mod == 0.0:
+                continue
+            if mod >= threshold:
+                t_event = 0.0
+                break
+            t_cross = math.log(threshold / mod) / (flow.TWO_PI * abs(float(u)))
+            if t_event is None or t_cross < t_event:
+                t_event = t_cross
+        remaining = abs(r_final - r)
+        if t_event is None or t_event >= remaining:
+            end = flow.curve_point(weights, flow.ChartPoint(chart, z), d, r_final - r)
+            segments.append(flow.TrajectorySegment(chart, r, r_final, z, end.coords))
+            return segments
+        r_event = r + s * t_event
+        at_event = flow.curve_point(weights, flow.ChartPoint(chart, z), d, s * t_event)
+        segments.append(flow.TrajectorySegment(chart, r, r_event, z, at_event.coords))
+        candidates = [
+            c for c in f.maximal_cones
+            if len(c) == n and c != chart
+            and set(target) <= set(c)
+            and len(set(chart) & set(c)) == n - 1
+        ]
+        if not candidates:
+            candidates = [c for c in f.maximal_cones if len(c) == n and c != chart]
+        best = None
+        for c in candidates:
+            try:
+                w = toric.transition(f, chart, c).apply(at_event.coords)
+            except (ZeroDivisionError, OverflowError):
+                continue
+            if not all(cmath.isfinite(x) for x in w):
+                continue
+            key = (max(abs(x) for x in w), c)
+            if best is None or key < best[0]:
+                best = (key, c, w)
+        if best is None:
+            raise NonFiniteState("no chart can represent the trajectory point")
+        _, chart, z = best
+        r = r_event
+        switches += 1
+        if switches > max_switches:
+            raise TrackingError("chart switching failed to settle")
+
+
+def reference_verify(f, xi, start, tol=flow.DEFAULT_TOL, r_final=flow.R_AT_INFINITY):
+    stratum = support_contains(f, tuple(Fraction(t) for t in xi))
+    last = reference_track(f, start, flow.direction(xi), r_final)[-1]
+    residual = 0.0
+    for ray, coord in zip(last.chart, last.end):
+        if not cmath.isfinite(coord):
+            residual = math.inf
+        elif ray in stratum:
+            residual = max(residual, abs(coord))
+        elif abs(coord) < tol:
+            residual = math.inf
+    return flow.LimitReport(stratum, last.endpoint, residual, residual <= tol)
+
+
+def outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except Exception as e:  # the exception is part of the outcome compared
+        return type(e).__name__, str(e)
+
+
+def k_fan(k=40):
+    """A complete 2-d fan with rays (1,0), (1,1), ..., (1,k), (0,1),
+    (-1,-1): far charts have transition exponents up to about k."""
+    rays = [(1, j) for j in range(k + 1)] + [(0, 1), (-1, -1)]
+    cones = [(j, j + 1) for j in range(k)] + [(k, k + 1), (k + 1, k + 2), (0, k + 2)]
+    return make_fan(rays, cones)
+
+
+def sample_directions(n, rng):
+    """Integer, rational and 10^k-rescaled integer directions, the mix
+    the flow benchmark draws."""
+    out = []
+    for _ in range(2):
+        out.append(tuple(rng.randint(-5, 5) for _ in range(n)))
+        out.append(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)))
+    for k in (1, 2, 3, -1, -2, -3):
+        v = tuple(rng.randint(-5, 5) for _ in range(n))
+        out.append(tuple(Fraction(x) * Fraction(10) ** k for x in v))
+    return out
+
+
+def differential_cases():
+    fans = (
+        [(name, f) for name, f in complete_builtins().items()]
+        + [(f"iterate{i}", f) for i, f in enumerate(subdivision_iterates())]
+        + [("k40", k_fan())]
+    )
+    for name, f in fans:
+        rng = random.Random(name)
+        charts = toric.fixed_points(f)
+        for xi in sample_directions(f.ambient_dim, rng):
+            chart = rng.choice(charts)
+            coords = tuple(
+                cmath.rect(rng.uniform(0.2, 0.9), rng.uniform(0.0, 2 * math.pi))
+                for _ in range(f.ambient_dim)
+            )
+            r_final = rng.choice((flow.R_AT_INFINITY, flow.R_AT_INFINITY, 3.0))
+            yield name, f, xi, flow.chart_point(chart, coords), r_final
+
+
+class TestTrackMatchesReference:
+    @pytest.mark.parametrize("group", ["builtins", "iterates", "k40"])
+    def test_segments_and_reports_equal(self, group):
+        compared = 0
+        for name, f, xi, start, r_final in differential_cases():
+            kind = ("k40" if name == "k40" else
+                    "iterates" if name.startswith("iterate") else "builtins")
+            if kind != group:
+                continue
+            d = flow.direction(xi)
+            assert outcome(flow.track, f, start, d, r_final) == \
+                outcome(reference_track, f, start, d, r_final), (name, xi, start)
+            assert outcome(flow.verify_limit, f, xi, start) == \
+                outcome(reference_verify, f, xi, start), (name, xi, start)
+            compared += 1
+        assert compared >= 10
+
+    def test_angular_part_matches_reference(self):
+        rng = random.Random(9)
+        for f in (CP2, complete_builtins()["hirzebruch2"], cpn(3)):
+            n = f.ambient_dim
+            for _ in range(6):
+                d = flow.direction(
+                    tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)),
+                    tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)),
+                )
+                start = flow.chart_point(
+                    rng.choice(toric.fixed_points(f)),
+                    tuple(rng.uniform(0.2, 0.9) for _ in range(n)),
+                )
+                assert flow.track(f, start, d, -4.0) == reference_track(f, start, d, -4.0)
+
+    def test_rescaling_keeps_the_stratum(self):
+        for f in list(complete_builtins().values()) + subdivision_iterates():
+            rng = random.Random(f.ray_count)
+            for _ in range(10):
+                xi = tuple(rng.randint(-5, 5) for _ in range(f.ambient_dim))
+                stratum = flow.limit_stratum(f, xi)
+                for k in (-3, -1, 2):
+                    scaled = tuple(Fraction(x) * Fraction(10) ** k for x in xi)
+                    assert flow.limit_stratum(f, scaled) == stratum
+
+    def test_integer_direction(self):
+        assert flow.integer_direction((Fraction(1, 2), Fraction(-1, 3), 2)) == ((3, -2, 12), 6)
+        assert flow.integer_direction((4, 0)) == ((4, 0), 1)
+
+
+class TestChartSwitching:
+    def test_overflowing_candidate_is_skipped(self):
+        # from chart {20,21} the far charts' transitions raise z to powers
+        # near 40, which overflows complex exponentiation
+        f = k_fan()
+        start = flow.chart_point((20, 21), (0.9, 0.2))
+        rep = flow.verify_limit(f, (1, -1), start)
+        assert rep.predicted_stratum == (0, 42)
+        assert rep.converged and rep.numeric_limit.chart == (0, 42)
+        assert rep == reference_verify(f, (1, -1), start)
+
+    def test_overflowing_candidate_through_cli(self, tmp_path, capsys):
+        path = tmp_path / "k40.fan"
+        path.write_text(dump_fan(k_fan()))
+        code = cli.main([
+            "limit", str(path), "--xi=1,-1", "--chart", "20,21",
+            "--start", "0.9,0.2", "--format", "machine",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "stratum 0,42" in out and "converged true" in out
+
+    def test_non_unimodular_candidate_raises(self):
+        # complete by facet count, but the cone {0,1} has |det| = 2; the
+        # flow of (2,1) leaves chart {1,2} towards it
+        f = make_fan([(1, 0), (1, 2), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+        assert is_complete_facet(f)[0]
+        start = flow.chart_point((1, 2), (0.5, 0.5))
+        with pytest.raises(NotUnimodular):
+            flow.verify_limit(f, (2, 1), start)
+        with pytest.raises(NotUnimodular):
+            reference_verify(f, (2, 1), start)
+        with pytest.raises(NotUnimodular):
+            flow.verify_limit(f, (2, 1), flow.chart_point((0, 1), (0.5, 0.5)))
+
+
+class TestNonFiniteLimit:
+    @pytest.mark.parametrize("r_final", [math.nan, -math.inf])
+    def test_non_finite_coordinates_do_not_converge(self, r_final):
+        rep = flow.verify_limit(CP2, (2, 1), ones((0, 1)), r_final=r_final)
+        assert not all(cmath.isfinite(z) for z in rep.numeric_limit.coords)
+        assert rep.residual == math.inf and not rep.converged
