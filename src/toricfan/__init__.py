@@ -26,6 +26,7 @@ from .flow import (
     curve_point,
     direction,
     integrate,
+    limit_report,
     limit_stratum,
     track,
     verify_limit,

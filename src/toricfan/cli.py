@@ -254,7 +254,9 @@ def cmd_limit(args) -> int:
     else:
         coords = (1.0 + 0.0j,) * fan.ambient_dim
     start = flow.chart_point(chart, coords)
-    report = flow.verify_limit(fan, xi, start, tol=args.tol, r_final=args.r)
+    d = flow.direction(xi)
+    segments = flow.track(fan, start, d, args.r)
+    report = flow.limit_report(stratum, segments, args.tol)
     out.both("stratum", _fmt_cone(report.predicted_stratum),
              text=f"limit stratum: {{{_fmt_cone(report.predicted_stratum)}}}")
     pt = report.numeric_limit
@@ -266,8 +268,6 @@ def cmd_limit(args) -> int:
     out.both("converged", str(report.converged).lower(),
              text=f"converged: {str(report.converged).lower()}")
     if args.trajectory:
-        d = flow.direction(xi)
-        segments = flow.track(fan, start, d, args.r)
         rows = flow.trajectory_samples(fan, d, segments)
         with open(args.trajectory, "w", encoding="utf-8") as handle:
             handle.write("# r, chart, re(z_1), im(z_1), ...\n")
@@ -353,9 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()  # built once per process; parse_args keeps no state
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except USAGE_ERRORS as e:

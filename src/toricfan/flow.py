@@ -277,17 +277,23 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
 
 def verify_limit(f: Fan, xi, start: ChartPoint, tol: float = DEFAULT_TOL,
                  r_final: float = R_AT_INFINITY) -> LimitReport:
-    """Numerically confirm the limit classification of a direction.
+    """Numerically confirm the limit classification of a direction: track
+    the flow of xi to r_final and judge the end with limit_report."""
+    stratum = limit_stratum(f, xi)
+    segments = track(f, start, direction(xi), r_final)
+    return limit_report(stratum, segments, tol)
 
-    Tracks the flow of xi to r_final and checks the coordinate pattern in
-    the final chart: coordinates dual to the rays of the predicted stratum
-    must be below tol in modulus, all others bounded away from zero.  The
+
+def limit_report(stratum, segments, tol: float = DEFAULT_TOL) -> LimitReport:
+    """Check the coordinate pattern at the end of tracked segments against
+    a predicted stratum.
+
+    Coordinates of the final chart dual to the rays of the stratum must
+    be below tol in modulus, all others bounded away from zero.  The
     residual is the largest must-vanish modulus, or infinity when some
     must-survive coordinate dropped below tol or any coordinate is not
     finite.
     """
-    stratum = limit_stratum(f, xi)
-    segments = track(f, start, direction(xi), r_final)
     last = segments[-1]
     inside = set(stratum)
     residual = 0.0

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from toricfan.cli import main
+from toricfan import flow
+from toricfan.cli import build_parser, main
 from toricfan.fan import fans_equal
 from toricfan.formats import parse_fan
 from toricfan.library import cpn
@@ -175,6 +176,65 @@ class TestLimit:
 
     def test_finite_parameters_accepted(self, cp2_file):
         assert main(["limit", cp2_file, "--xi=1,-1", "--r=-12.5", "--tol=1e-3"]) == 0
+
+    def test_trajectory_tracks_once(self, tmp_path, monkeypatch, capsys):
+        fan_path = tmp_path / "h1.fan"
+        assert main(["lib", "subdivided", "hirzebruch", "1", "--cone", "0,1",
+                     "-o", str(fan_path)]) == 0
+        argv = ["limit", str(fan_path), "--xi=2,-3", "--chart", "1,2",
+                "--start", "0.5+0.1j,0.7", "--format", "machine"]
+        fan, _ = parse_fan(fan_path.read_text())
+        xi = (2, -3)
+        start = flow.chart_point((1, 2), (0.5 + 0.1j, 0.7 + 0j))
+        segments = flow.track(fan, start, flow.direction(xi), flow.R_AT_INFINITY)
+        assert len(segments) > 1
+        report = flow.verify_limit(fan, xi, start)
+
+        calls = []
+        original = flow.track
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(flow, "track", counting)
+        traj = tmp_path / "curve.csv"
+        assert main(argv + ["--trajectory", str(traj)]) == 0
+        assert len(calls) == 1
+        out = capsys.readouterr().out.splitlines()
+        pt = report.numeric_limit
+        assert out == [
+            "stratum " + ",".join(map(str, report.predicted_stratum)),
+            "chart " + ",".join(map(str, pt.chart)),
+            "limit " + " ".join(f"{z.real:.3e}{z.imag:+.3e}j" for z in pt.coords),
+            f"residual {report.residual:.3e}",
+            "converged true",
+        ]
+        expected = ["# r, chart, re(z_1), im(z_1), ..."]
+        for r, c, zs in flow.trajectory_samples(fan, flow.direction(xi), segments):
+            parts = [repr(r), "-".join(map(str, c))]
+            for z in zs:
+                parts += [repr(z.real), repr(z.imag)]
+            expected.append(", ".join(parts))
+        assert traj.read_text().splitlines() == expected
+
+
+class TestParserReuse:
+    def test_options_do_not_leak_between_calls(self, cp2_file, capsys):
+        assert main(["validate", cp2_file, "--format", "machine"]) == 0
+        assert capsys.readouterr().out == "ok true\n"
+        assert main(["validate", cp2_file]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        assert main(["complete", cp2_file, "--oracle", "facet", "--samples", "5",
+                     "--seed", "3", "--format", "machine"]) == 0
+        assert capsys.readouterr().out == "facet true\n"
+        assert main(["complete", cp2_file]) == 0
+        out = capsys.readouterr().out
+        assert "facet criterion" in out
+        assert "ray casting (10000 samples, seed 0)" in out
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestLib:

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corpus import (
     complete_builtins,
@@ -20,6 +22,8 @@ from toricfan.fan import (
     FacetReport,
     SimplicialComplex,
     Violation,
+    _pairwise_violations,
+    _wall_certificate,
     is_complete_facet,
     is_complete_raycast,
     make_fan,
@@ -199,9 +203,15 @@ class TestSeparationCertificate:
         counts = []
         for f in subdivision_iterates(seed=0, rounds=3, bases=("cp3",)):
             before = len(fallbacks)
-            assert validate(f).ok
+            assert _pairwise_violations(f) == ()
             counts.append(len(fallbacks) - before)
         assert counts == [0, 4, 8]
+        counts = []
+        for f in subdivision_iterates(seed=0, rounds=3, bases=("cp3",)):
+            before = len(fallbacks)
+            assert validate(f).ok
+            counts.append(len(fallbacks) - before)
+        assert counts == [0, 0, 0]
 
     def test_invalid_pairs_reach_the_fallback(self, fallbacks):
         f = make_fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
@@ -221,6 +231,128 @@ class TestSeparationCertificate:
             assert validate(f).violations == expected, f
             invalid += bool(expected)
         assert invalid >= 5
+
+
+def build(rays, cones):
+    """The fan, or None when the data does not even construct one."""
+    try:
+        return make_fan(rays, cones)
+    except MalformedInput:
+        return None
+
+
+def mutate(f, kind, rng):
+    """One random edit of a fan's data: move a ray by +-1 in one entry,
+    drop a maximal cone, add a random n-subset as a cone, or swap one
+    index of a cone for another ray.  None when the result is malformed."""
+    rays = [list(r) for r in f.rays]
+    cones = [list(c) for c in f.maximal_cones]
+    n = f.ambient_dim
+    if kind == "move":
+        ray = rng.randrange(len(rays))
+        rays[ray][rng.randrange(n)] += rng.choice((-1, 1))
+        if not any(rays[ray]):
+            return None
+        rays[ray] = list(lattice.primitive(rays[ray]))
+    elif kind == "drop":
+        cones.pop(rng.randrange(len(cones)))
+    elif kind == "add":
+        cones.append(rng.sample(range(len(rays)), n))
+    elif kind == "swap":
+        cone = cones[rng.randrange(len(cones))]
+        cone[rng.randrange(len(cone))] = rng.randrange(len(rays))
+    return build(rays, cones)
+
+
+# the builtins that star subdivision applies to (cp1's cones have one ray)
+BASES = sorted(name for name in complete_builtins() if name != "cp1")
+
+
+def random_chain(base, rounds, rng):
+    f = complete_builtins()[base]
+    for _ in range(rounds):
+        full = [c for c in f.maximal_cones if len(c) == f.ambient_dim]
+        f = star_subdivide(f, rng.choice(full))
+    return f
+
+
+# rays (1,0),(0,1),(-1,0),(0,-1) and (1,1),(-2,-1),(3,1),(2,1): two complete
+# fans of the plane on disjoint ray sets, so every wall is shared by two
+# cones on opposite sides, but every direction lies in two cones
+WINDS_TWICE = make_fan(
+    [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-2, -1), (3, 1), (2, 1)],
+    [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)],
+)
+# p(2) = (1,0) + 2*(-1,-1) = (-1,-2) lies on the line of the ray (1,2);
+# p(3) = (-2,-3) lies on no wall's line
+NOT_GENERIC_AT_2 = make_fan(
+    [(1, 0), (0, 1), (-1, -1), (1, 1), (1, 2)],
+    [(0, 2), (1, 2), (0, 3), (1, 4), (3, 4)],
+)
+
+
+class TestWallCertificate:
+    """The certificate against the pairwise checks it short-cuts."""
+
+    def check(self, f):
+        violations = _pairwise_violations(f)
+        certified = _wall_certificate(f)
+        # a certified fan is valid and complete; conversely a valid
+        # complete unimodular fan has degree 1, so it is certified
+        assert certified == (violations == () and is_complete_facet(f)[0]), f
+        assert validate(f).violations == violations, f
+        return certified, violations
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(st.sampled_from(BASES), st.integers(0, 8), st.integers(0, 10 ** 6),
+           st.sampled_from(["none", "move", "drop", "add", "swap"]))
+    def test_matches_pairwise_checks(self, base, rounds, seed, kind):
+        rng = random.Random(seed)
+        f = random_chain(base, rounds, rng)
+        if kind != "none":
+            f = mutate(f, kind, rng)
+            assume(f is not None)
+        certified, _ = self.check(f)
+        if kind == "none":
+            assert certified
+
+    def test_mutations_are_mostly_rejected(self):
+        rng = random.Random(11)
+        outcomes = {True: 0, False: 0}
+        for _ in range(120):
+            f = mutate(random_chain(rng.choice(BASES), rng.randint(0, 5), rng),
+                       rng.choice(["move", "drop", "add", "swap"]), rng)
+            if f is not None:
+                certified, _ = self.check(f)
+                outcomes[certified] += 1
+        assert outcomes[False] >= 60 and outcomes[True] >= 1
+
+    def test_corpora(self):
+        fans = list(complete_builtins().values()) + subdivision_iterates()
+        fans += incomplete_fans() + invalid_fans() + random_two_cone_fans(30, seed=5)
+        for f in fans:
+            self.check(f)
+
+    def test_degree_two_is_not_certified(self):
+        assert is_complete_facet(WINDS_TWICE)[0]
+        assert not _wall_certificate(WINDS_TWICE)
+        report = validate(WINDS_TWICE)
+        assert not report.ok
+        assert {v.axiom for v in report.violations} == {"intersection"}
+        assert report.violations == _pairwise_violations(WINDS_TWICE)
+
+    def test_skips_a_parameter_on_a_wall(self, fallbacks):
+        f = NOT_GENERIC_AT_2
+        p2 = (-1, -2)
+        assert any(lattice.dot(row, p2) == 0
+                   for c in f.maximal_cones for row in f.chart_weights(c))
+        assert _wall_certificate(f)
+        assert validate(f) == fan_module.ValidationReport(ok=True, violations=())
+        assert len(fallbacks) == 0
+
+    def test_lower_dimensional_or_non_unimodular_cones_fall_back(self):
+        for f in (quadrant(1), make_fan([(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)])):
+            assert not _wall_certificate(f)
 
 
 class TestSigma:
@@ -314,6 +446,44 @@ class TestSupportContains:
                     assert hits == []
                 else:
                     assert hits == [stratum]
+
+
+def reference_support_contains(f, v):
+    """support_contains as it was when it paired v with every row of a
+    chart before looking at the signs."""
+    for c in f.maximal_cones:
+        weights = f.chart_weights(c)
+        if weights is not None:
+            pairings = [lattice.dot(row, v) for row in weights]
+            if all(p >= 0 for p in pairings):
+                return tuple(i for i, p in zip(c, pairings) if p > 0)
+            continue
+        gens = f.generators(c)
+        if not gens:
+            if all(Fraction(x) == 0 for x in v):
+                return ()
+            continue
+        coeffs = lattice.solve_combination(gens, v)
+        if coeffs is not None and all(a >= 0 for a in coeffs):
+            return tuple(i for i, a in zip(c, coeffs) if a > 0)
+    return None
+
+
+class TestSupportContainsMatchesReference:
+    def test_integer_and_rational_vectors(self):
+        fans = list(complete_builtins().values()) + subdivision_iterates()
+        fans += incomplete_fans() + invalid_fans()
+        rng = random.Random(23)
+        for f in fans:
+            n = f.ambient_dim
+            vectors = [(0,) * n] + list(f.rays)
+            vectors += [tuple(map(sum, zip(*f.generators(c)))) for c in f.maximal_cones]
+            vectors += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(40)]
+            vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
+                        for _ in range(20)]
+            vectors += [tuple(Fraction(x, 3) for x in r) for r in f.rays]
+            for v in vectors:
+                assert support_contains(f, v) == reference_support_contains(f, v), (f, v)
 
 
 class TestCompletenessFacet:
