@@ -355,12 +355,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 _PARSER = None
 
+# options whose values may begin with "-", such as the direction -1,1
+SIGNED_VALUE_OPTIONS = frozenset(("--xi", "--chart", "--start", "--tol", "--r"))
+
+
+def _attach_signed_values(argv) -> list[str]:
+    """Rewrite `--xi -1,1` as `--xi=-1,1`: argparse takes a separate value
+    beginning with "-" for an option unless it looks like a plain
+    negative number, and would exit 2 on a direction like -1,1 or
+    -1/2,3.  A following token beginning with "--" is left alone."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in SIGNED_VALUE_OPTIONS \
+                and token.startswith("-") and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
 
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()  # built once per process; parse_args keeps no state
-    args = _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.run(args)
     except USAGE_ERRORS as e:

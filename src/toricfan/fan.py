@@ -34,6 +34,7 @@ from .errors import (
 )
 
 IndexSet = tuple[int, ...]
+_MISSING = object()  # cache-miss marker; a cached chart may be None
 
 
 class Fan:
@@ -77,6 +78,7 @@ class Fan:
         self._weight_cache: dict[IndexSet, tuple | None] = {}
         self._description_cache: dict[IndexSet, tuple] = {}
         self._facet_map: dict[IndexSet, tuple[IndexSet, ...]] | None = None
+        self._charts: dict[IndexSet, tuple | None] | None = None
         self._facet_verdict: tuple[bool, FacetReport] | None = None
 
     @property
@@ -132,6 +134,15 @@ class Fan:
             self._facet_map = {k: tuple(v) for k, v in incidence.items()}
         return self._facet_map
 
+    @property
+    def charts(self) -> dict[IndexSet, tuple | None]:
+        """Each maximal cone, in order, mapped to its chart_weights (None
+        for a cone without a chart); built on first use, so loops over
+        the maximal cones read every chart once per fan."""
+        if self._charts is None:
+            self._charts = {c: self.chart_weights(c) for c in self._maximal}
+        return self._charts
+
     def cone(self, indices) -> Cone:
         idx = tuple(sorted(indices))
         if idx not in self._closure:
@@ -150,6 +161,9 @@ class Fan:
         order and to 0 with the others: these are the isotropy weights of
         the cone's fixed point and its facet normals.
         """
+        hit = self._weight_cache.get(indices, _MISSING) if type(indices) is tuple else _MISSING
+        if hit is not _MISSING:  # a sorted tuple seen before: no sorting
+            return hit
         idx = tuple(sorted(indices))
         if idx not in self._weight_cache:
             w = None
@@ -170,6 +184,9 @@ class Fan:
         the rational cone.halfspace_description, which agrees with that
         dual basis wherever both apply.
         """
+        hit = self._description_cache.get(indices, _MISSING) if type(indices) is tuple else _MISSING
+        if hit is not _MISSING:
+            return hit
         idx = tuple(sorted(indices))
         if idx not in self._description_cache:
             weights = self.chart_weights(idx)
@@ -271,7 +288,7 @@ def _wall_certificate(f: Fan) -> bool:
     is (1).  So a certified fan has no violation, and validate need not
     look at any pair.
     """
-    weights = {c: f.chart_weights(c) for c in f.maximal_cones}
+    weights = f.charts
     if None in weights.values():
         return False
     rays = f.rays
@@ -404,8 +421,7 @@ def support_contains(f: Fan, v):
 
     v may have integer or Fraction entries; all arithmetic is exact.
     """
-    for c in f.maximal_cones:
-        weights = f.chart_weights(c)
+    for c, weights in f.charts.items():
         if weights is not None:
             pairings = []
             for row in weights:
@@ -416,14 +432,20 @@ def support_contains(f: Fan, v):
             else:
                 return tuple(i for i, p in zip(c, pairings) if p > 0)
             continue
-        gens = f.generators(c)
-        if not gens:
-            if all(Fraction(x) == 0 for x in v):
-                return ()
-            continue
-        coeffs = lattice.solve_combination(gens, v)
-        if coeffs is not None and all(a >= 0 for a in coeffs):
-            return tuple(i for i, a in zip(c, coeffs) if a > 0)
+        stratum = _exact_contains(f, c, v)
+        if stratum is not None:
+            return stratum
+    return None
+
+
+def _exact_contains(f: Fan, c: IndexSet, v):
+    """support_contains for one cone without a chart, by exact solving."""
+    gens = f.generators(c)
+    if not gens:
+        return () if all(Fraction(x) == 0 for x in v) else None
+    coeffs = lattice.solve_combination(gens, v)
+    if coeffs is not None and all(a >= 0 for a in coeffs):
+        return tuple(i for i, a in zip(c, coeffs) if a > 0)
     return None
 
 
@@ -473,18 +495,36 @@ def is_complete_raycast(f: Fan, samples: int = 10000, seed: int = 0):
     zero vector rejected) and classifies each with exact arithmetic.
     Returns (True, None) when every sample lies in the support, else
     (False, witness_direction).  Deterministic for a given seed.
+
+    A sample lies in the support when some chart's weight rows all pair
+    nonnegatively with it, or, for a cone without a chart, by the exact
+    test of support_contains; the charts are read once per call.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    randint = random.Random(seed).randint
+    randrange = random.Random(seed).randrange  # randint(a, b) is randrange(a, b + 1)
+    low, high = -RAYCAST_BOUND, RAYCAST_BOUND + 1
     n = f.ambient_dim
+    charts = [rows for rows in f.charts.values() if rows is not None]
+    others = [c for c, rows in f.charts.items() if rows is None]
     for _ in range(samples):
-        v = tuple(randint(-RAYCAST_BOUND, RAYCAST_BOUND) for _ in range(n))
+        v = tuple(randrange(low, high) for _ in range(n))
         while not any(v):
-            v = tuple(randint(-RAYCAST_BOUND, RAYCAST_BOUND) for _ in range(n))
-        if support_contains(f, v) is None:
+            v = tuple(randrange(low, high) for _ in range(n))
+        if not _in_some_chart(charts, v) and \
+                all(_exact_contains(f, c, v) is None for c in others):
             return False, v
     return True, None
+
+
+def _in_some_chart(charts, v) -> bool:
+    for rows in charts:
+        for row in rows:
+            if sum(map(mul, row, v)) < 0:
+                break
+        else:
+            return True
+    return False
 
 
 def star_subdivide(f: Fan, cone_indices) -> Fan:

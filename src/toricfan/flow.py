@@ -20,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 from operator import mul
 
 from . import lattice
@@ -171,6 +172,110 @@ def _pairings(rows, v: tuple[int, ...]) -> list[int]:
     return [sum(map(mul, row, v)) for row in rows]
 
 
+# A coordinate's log-modulus estimate is trusted only while every value
+# its transition map forms stays within e^(+-LOG_RANGE), well inside the
+# normal floating-point range (e^710 overflows, e^-709 is subnormal).
+LOG_RANGE = 600.0
+# scale of the error margin delta of a pruning estimate (see _next_chart)
+PRUNE_MARGIN = 1e-9
+
+
+def _next_chart(f: Fan, chart: IndexSet, candidates, point):
+    """The candidate chart holding `point` (given in `chart`) at the
+    smallest largest modulus, as (key, cone, coordinates) with key =
+    (largest modulus, cone), or None when every candidate's transition
+    map divides by zero, overflows or gives a non-finite coordinate.
+
+    Candidates are decided exactly, by transition(f, chart, c).apply,
+    unless a certified estimate shows that one cannot win.  The map sends
+    the point to w_j = prod_i z_i^E_ji with E_ji = <a_j, g_i>, for a_j the
+    weight rows of c and g_i the generators of `chart` (E = A_c G^T), so
+    with l_i = log|z_i| the exact log|w_j| is sum_i E_ji l_i = <a_j, y>
+    for y = sum_i l_i g_i.  The map forms w_j from the powers z_i^E_ji and
+    their partial products, whose log moduli are the terms E_ji l_i and
+    their partial sums; let R_j be the largest of these in size, and
+    S_j = sum_i |E_ji| (|l_i| + 1) >= R_j.  Each row gets an estimate P
+    of log|w_j| and a size T >= S_j: first P = <a_j, y> with
+    T = sum_k |a_jk| h_k, h_k = sum_i |g_ik| (|l_i| + 1); when that T
+    exceeds LOG_RANGE, P = sum_i E_ji l_i from the exact exponents with
+    T = S_j.  The row is used only when T <= LOG_RANGE, or R_j <=
+    LOG_RANGE in the second case: then every z_i the map uses and every
+    value it forms is a normal float, nothing under- or overflows, and
+    the computed log|w_j| differs from P by less than
+    (8n + 8) * 2^-53 * T (P's roundings, and those of the logarithms, the
+    powers and the products of the map); the logarithm of the best
+    modulus is off by less than 1e-13.  Both are far below
+    delta = PRUNE_MARGIN * (1 + T) for any n <= 10^5.  A candidate with a
+    row where P - delta exceeds the log of the best largest modulus so
+    far therefore has a strictly larger largest modulus than that best
+    and is never chosen: it is pruned.  The best modulus only decreases
+    and pruning is strict, so the choice, ties included, is that of
+    evaluating every candidate.
+
+    The facet neighbour across the largest coordinate of the point (the
+    facet the flow leaves through) is evaluated first when it is a
+    candidate: it usually wins, and the rest are pruned against it.
+    Every candidate is evaluated exactly, in the given order, when a
+    coordinate of the point is zero or not finite; pruning starts once
+    some candidate gave finite coordinates, and never skips a candidate
+    without weight rows (its transition raises NotUnimodular).
+    """
+    charts = f.charts
+    estimate = None
+    moduli = [math.hypot(x.real, x.imag) for x in point]
+    if all(0.0 < t < math.inf for t in moduli):
+        logs = [math.log(t) for t in moduli]
+        sizes = [abs(t) + 1.0 for t in logs]
+        gens = f.generators(chart)
+        cols = list(zip(*gens))
+        y = [sum(map(mul, col, logs)) for col in cols]
+        h = [sum(map(mul, map(abs, col), sizes)) for col in cols]
+        estimate = gens, logs, sizes, y, h
+        k = moduli.index(max(moduli))
+        wall = chart[:k] + chart[k + 1:]
+        first = next((c for c in f.facet_map[wall] if c != chart), None)
+        if first in candidates and charts[first] is not None:
+            candidates = [first] + [c for c in candidates if c != first]
+    best = None
+    bound = None  # log of the best largest modulus, once pruning is on
+    for c in candidates:
+        rows = charts[c]
+        if bound is not None and rows is not None and _dominated(rows, estimate, bound):
+            continue
+        try:
+            w = transition(f, chart, c).apply(point)
+            if not all(cmath.isfinite(x) for x in w):
+                continue
+            key = (_max_modulus(w), c)
+        except (ZeroDivisionError, OverflowError):
+            continue
+        if best is None or key < best[0]:
+            best = (key, c, w)
+            if estimate is not None:
+                bound = math.log(key[0]) if key[0] > 0 else -math.inf
+    return best
+
+
+def _dominated(rows, estimate, bound: float) -> bool:
+    """Does a weight row certify a coordinate of modulus above e^bound?
+    The estimate, its size and its margin are those of _next_chart."""
+    gens, logs, sizes, y, h = estimate
+    for row in rows:
+        p = sum(map(mul, row, y))
+        if p > bound:
+            size = sum(map(mul, map(abs, row), h))
+            if size > LOG_RANGE:
+                e = [sum(map(mul, row, g)) for g in gens]
+                terms = [x * t for x, t in zip(e, logs) if x]
+                if max(map(abs, chain(terms, accumulate(terms)))) > LOG_RANGE:
+                    continue
+                size = sum(map(mul, map(abs, e), sizes))
+                p = sum(terms)
+            if p - PRUNE_MARGIN * (1.0 + size) > bound:
+                return True
+    return False
+
+
 def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[TrajectorySegment]:
     """Follow the flow from r = 0 to r_final across charts.
 
@@ -182,7 +287,19 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
     full-dimensional cone.  The next chart is the candidate whose
     transformed point has the smallest largest modulus (ties go to the
     smaller index set); a candidate whose transition map divides by zero,
-    overflows or gives a non-finite coordinate is skipped.
+    overflows or gives a non-finite coordinate (or modulus) is skipped.
+
+    The rule is applied as if every candidate were mapped exactly, but
+    only about one is (see _next_chart): the facet neighbour across the
+    largest coordinate is mapped first, and each other candidate is
+    dropped when one of its coordinates certifiably exceeds the best
+    largest modulus so far.  On the open orbit log|w_j| = <a_j, y> for
+    y = sum_i log|z_i| g_i, so that needs one dot product per weight row
+    a_j; the certificate allows a floating-point error of
+    delta = 1e-9 * (1 + T), T = sum_i |E_ji| (|log|z_i|| + 1) or a bound
+    on it, and only where T <= LOG_RANGE (nothing under- or overflows).
+    At a point with a zero or non-finite coordinate every candidate is
+    mapped exactly.
 
     The direction is scaled once to an integer vector xi' = L*xi, so the
     exact pairings with a chart's weights are integers p, and the rates
@@ -216,6 +333,7 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
     switches = 0
     max_switches = 8 * len(f.maximal_cones) + 16
     facet_map = f.facet_map
+    full = [c for c in f.maximal_cones if len(c) == n]
 
     while True:
         rows = weight_matrix(f, chart)
@@ -254,18 +372,8 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
             if c != chart and target <= set(c)
         )
         if not candidates:
-            candidates = [c for c in f.maximal_cones if len(c) == n and c != chart]
-        best = None
-        for c in candidates:
-            try:
-                w = transition(f, chart, c).apply(at_event)
-            except (ZeroDivisionError, OverflowError):
-                continue
-            if not all(cmath.isfinite(x) for x in w):
-                continue
-            key = (_max_modulus(w), c)
-            if best is None or key < best[0]:
-                best = (key, c, w)
+            candidates = [c for c in full if c != chart]
+        best = _next_chart(f, chart, candidates, at_event)
         if best is None:
             raise NonFiniteState("no chart can represent the trajectory point")
         _, chart, z = best

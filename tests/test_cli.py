@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -218,6 +219,40 @@ class TestLimit:
             expected.append(", ".join(parts))
         assert traj.read_text().splitlines() == expected
 
+
+class TestSignedValues:
+    @pytest.mark.parametrize("xi", ["-1,1", "-1/2,3", "-2,-1"])
+    def test_negative_direction_is_a_value(self, cp2_file, xi, capsys):
+        code = main(["limit", cp2_file, "--xi", xi, "--format", "machine"])
+        spaced = capsys.readouterr()
+        assert main(["limit", cp2_file, f"--xi={xi}", "--format", "machine"]) == code
+        joined = capsys.readouterr()
+        assert code == 0 and spaced == joined
+        stratum = flow.limit_stratum(cpn(2), [Fraction(t) for t in xi.split(",")])
+        assert spaced.out.splitlines()[0] == "stratum " + ",".join(map(str, stratum))
+
+    def test_negative_start_and_r(self, cp2_file, capsys):
+        argv = ["limit", cp2_file, "--xi", "-1,1", "--chart", "1,2",
+                "--start", "-0.5,0.25j", "--r", "-1.2e1", "--format", "machine"]
+        code = main(argv)
+        spaced = capsys.readouterr()
+        assert main(["limit", cp2_file, "--xi=-1,1", "--chart", "1,2",
+                     "--start=-0.5,0.25j", "--r=-1.2e1", "--format", "machine"]) == code
+        assert capsys.readouterr() == spaced and code == 0
+
+    def test_negative_tol_still_rejected(self, cp2_file, capsys):
+        assert main(["limit", cp2_file, "--xi", "1,-1", "--tol", "-1e-3"]) == 2
+        assert "--tol must be a positive finite number" in capsys.readouterr().err
+
+    def test_missing_value_is_still_a_usage_error(self, cp2_file):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["limit", cp2_file, "--xi", "--format", "machine"])
+        assert exit_info.value.code == 2
+
+    def test_other_commands_unchanged(self, cp2_file, capsys):
+        assert main(["complete", cp2_file, "--seed", "-3", "--samples", "50",
+                     "--format", "machine"]) == 0
+        assert "raycast true" in capsys.readouterr().out.splitlines()
 
 class TestParserReuse:
     def test_options_do_not_leak_between_calls(self, cp2_file, capsys):

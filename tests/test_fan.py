@@ -189,6 +189,27 @@ class TestDescriptionCache:
         assert f.description((0, 1, 2)) is f.description((2, 1, 0))
         assert f.description((0, 1, 2))[0] is f.chart_weights((0, 1, 2))
 
+    def test_any_spelling_reads_the_sorted_entry(self, monkeypatch):
+        f = cpn(3)
+        weights, described = f.chart_weights((0, 1, 2)), f.description((0, 1, 2))
+        calls = []
+        monkeypatch.setattr(lattice, "dual_basis", lambda *a: calls.append(a))
+        for spelling in [(2, 0, 1), [1, 2, 0], (0, 1, 2), range(3)]:
+            assert f.chart_weights(spelling) is weights
+            assert f.description(spelling) is described
+        assert calls == []
+        bad = make_fan([(1, 0), (1, 2)], [(0, 1)])
+        assert bad.chart_weights([1, 0]) is None and bad.chart_weights((0, 1)) is None
+        assert bad.description([1, 0]) is bad.description((0, 1))
+
+    def test_charts_of_every_maximal_cone(self):
+        fans = list(complete_builtins().values()) + subdivision_iterates()
+        fans += incomplete_fans() + invalid_fans()
+        for f in fans:
+            assert list(f.charts) == list(f.maximal_cones)
+            assert all(rows is f.chart_weights(c) for c, rows in f.charts.items())
+            assert f.charts is f.charts
+
 
 class TestSeparationCertificate:
     def test_certifies_every_pair_of_builtins(self, fallbacks):
@@ -586,6 +607,37 @@ class TestCompletenessRaycast:
             facet = is_complete_facet(f)[0]
             raycast = is_complete_raycast(f, 800, 11)[0]
             assert facet == raycast
+
+
+def reference_raycast(f, samples, seed):
+    """is_complete_raycast as it was: randint per entry and the whole
+    support_contains (through every chart lookup) per sample."""
+    rng = random.Random(seed)
+    n = f.ambient_dim
+    for _ in range(samples):
+        v = tuple(rng.randint(-97, 97) for _ in range(n))
+        while not any(v):
+            v = tuple(rng.randint(-97, 97) for _ in range(n))
+        if reference_support_contains(f, v) is None:
+            return False, v
+    return True, None
+
+
+class TestRaycastMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123, 2024])
+    def test_incomplete_and_invalid_fans(self, seed):
+        fans = incomplete_fans() + invalid_fans() + [cp1(), CP2, hirzebruch(2)]
+        fans += [make_fan([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1), (2,)])]
+        # complete, but the cone {0,1} has |det| = 2 and no chart
+        fans += [make_fan([(1, 0), (1, 2), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])]
+        for f in fans:
+            for samples in (1, 3, 400):
+                assert is_complete_raycast(f, samples, seed) == \
+                    reference_raycast(f, samples, seed), (f, samples, seed)
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError):
+            is_complete_raycast(CP2, 0)
 
 
 class TestStarSubdivide:

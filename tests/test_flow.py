@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -509,3 +510,188 @@ class TestNonFiniteLimit:
         rep = flow.verify_limit(CP2, (2, 1), ones((0, 1)), r_final=r_final)
         assert not all(cmath.isfinite(z) for z in rep.numeric_limit.coords)
         assert rep.residual == math.inf and not rep.converged
+
+
+def same(a, b):
+    """Bitwise equality of outcomes, NaN coordinates included."""
+    return repr(a) == repr(b)
+
+
+def generic_start(f, chart, rng):
+    return flow.chart_point(chart, tuple(
+        cmath.rect(rng.uniform(0.2, 0.9), rng.uniform(0.0, 2 * math.pi))
+        for _ in range(f.ambient_dim)
+    ))
+
+
+def rescaled_directions(n, rng, count):
+    return [
+        tuple(Fraction(rng.randint(-5, 5)) * Fraction(10) ** k for _ in range(n))
+        for k in (rng.choice((-3, -2, -1, 0, 1, 2, 3)) for _ in range(count))
+    ]
+
+
+class TestPruningMatchesReference:
+    """track decides most candidate charts by a certified log-modulus
+    estimate instead of their transition; reference_track evaluates every
+    candidate.  Segments must agree bit for bit."""
+
+    # exact values: moduli 1/2, 1 and 2 on the real and imaginary axes
+    WALL_VALUES = (1.0, -1.0, 1j, -1j, 0.5, -0.5j, 2.0, 1.0, 1j)
+
+    def test_wall_starts_with_ties(self):
+        # coordinates of modulus exactly 1 put the start on a wall or on the
+        # compact torus, where several candidates reach the same largest
+        # modulus and the smaller index set must win
+        fans = list(complete_builtins().values()) + subdivision_iterates()
+        rng = random.Random(41)
+        compared = 0
+        for f in fans:
+            n = f.ambient_dim
+            for _ in range(12):
+                chart = rng.choice(toric.fixed_points(f))
+                start = flow.chart_point(chart, [rng.choice(self.WALL_VALUES) for _ in range(n)])
+                xi = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
+                r_final = rng.choice((flow.R_AT_INFINITY, 3.0))
+                d = flow.direction(xi)
+                assert same(outcome(flow.track, f, start, d, r_final),
+                            outcome(reference_track, f, start, d, r_final)), (f, start, xi)
+                compared += 1
+        assert compared >= 100
+
+    def test_k40_fan_with_large_exponents(self):
+        f = k_fan()
+        rng = random.Random(40)
+        for chart in toric.fixed_points(f)[::3]:
+            for xi in rescaled_directions(2, rng, 4) + [(1, -1), (-1, 1), (1, -40)]:
+                d = flow.direction(xi)
+                start = generic_start(f, chart, rng)
+                r_final = rng.choice((flow.R_AT_INFINITY, 3.0))
+                assert same(outcome(flow.track, f, start, d, r_final),
+                            outcome(reference_track, f, start, d, r_final)), (chart, xi, start)
+
+    def test_rescaled_directions_over_iterates(self):
+        for i, f in enumerate(subdivision_iterates()):
+            rng = random.Random(i)
+            for xi in rescaled_directions(f.ambient_dim, rng, 12):
+                start = generic_start(f, rng.choice(toric.fixed_points(f)), rng)
+                d = flow.direction(xi)
+                assert same(outcome(flow.track, f, start, d, flow.R_AT_INFINITY),
+                            outcome(reference_track, f, start, d, flow.R_AT_INFINITY))
+
+    def test_extreme_moduli_and_underflow(self):
+        # starts down to 1e-318 and directions up to 2*10^4: coordinates
+        # underflow to exactly 0 before a switch (every candidate is then
+        # mapped exactly), maps overflow, and some points fit no chart
+        fans = list(complete_builtins().values()) + subdivision_iterates()
+        rng = random.Random(7)
+        zero_events = 0
+        kinds = set()
+        for _ in range(1500):
+            f = rng.choice(fans)
+            n = f.ambient_dim
+            chart = rng.choice(toric.fixed_points(f))
+            xi = tuple(rng.randint(-5, 5) * 10 ** rng.choice((0, 1, 2, 3)) for _ in range(n))
+            start = flow.chart_point(chart, [
+                10.0 ** -rng.choice((1, 100, 200, 300, 310, 318)) for _ in range(n)
+            ])
+            r_final = rng.choice((flow.R_AT_INFINITY, 3.0, -100.0))
+            d = flow.direction(xi)
+            got = outcome(flow.track, f, start, d, r_final)
+            assert same(got, outcome(reference_track, f, start, d, r_final)), (f, start, xi)
+            kinds.add(got[0])
+            if got[0] == "ok":
+                zero_events += any(0 in seg.end for seg in got[1][:-1])
+        assert zero_events >= 5
+        assert {"ok", "NonFiniteState"} <= kinds
+
+    def test_no_chart_represents_the_point(self):
+        f = cpn(3)
+        start = flow.chart_point((0, 2, 3), (0.1, 1e-200, 1e-310))
+        d = flow.direction((-40, -400, -4000))
+        with pytest.raises(NonFiniteState, match="no chart can represent"):
+            flow.track(f, start, d, 3.0)
+        with pytest.raises(NonFiniteState, match="no chart can represent"):
+            reference_track(f, start, d, 3.0)
+
+    def test_modulus_overflow_skips_the_candidate(self):
+        # 1/z for z = 3e-309(1+i) is finite, but its modulus is above the
+        # largest float, so abs() raises: that candidate is skipped
+        point = (1.0 + 0j, complex(3e-309, 3e-309))
+        with pytest.raises(OverflowError):
+            toric.transition(CP2, (0, 1), (0, 2)).apply(point)[1].__abs__()
+        best = flow._next_chart(CP2, (0, 1), [(0, 2), (1, 2)], point)
+        assert best[1] == (1, 2)
+        assert flow._next_chart(CP2, (0, 1), [(0, 2)], point) is None
+
+    def test_estimate_out_of_float_range_certifies_nothing(self):
+        # chart {2,3} has weight rows (50, 1) and (51, 1), so from the
+        # standard chart {0,1} it maps (z0, z1) to (z0^50 z1, z0^51 z1).
+        # At |z0| = e^-15.5, |z1| = e^600 the true moduli e^-175 and
+        # e^-190.5 exceed chart {0,4}'s e^-600, but z0^50 underflows to 0,
+        # so the maps computed exactly give {2,3} the smaller modulus
+        f = make_fan([(1, 0), (0, 1), (-1, 51), (1, -50), (-1, -1)],
+                     [(0, 1), (2, 3), (0, 4)])
+        assert f.chart_weights((2, 3)) == ((50, 1), (51, 1))
+        point = (cmath.exp(-15.5), cmath.exp(600.0))
+        candidates = [(0, 4), (2, 3)]
+        exhaustive = min(
+            (max(map(abs, w)), c, w)
+            for c in candidates for w in [toric.transition(f, (0, 1), c).apply(point)]
+        )
+        assert exhaustive[1] == (2, 3) and exhaustive[2] == (0j, 0j)
+        key, chart, coords = flow._next_chart(f, (0, 1), candidates, point)
+        assert (key[0], chart, coords) == exhaustive
+
+    def test_overflowing_modulus_through_track(self):
+        # a start far outside the polydisc: on the way to chart {0,42} a
+        # candidate's coordinates are finite but their modulus is not, which
+        # the all-candidates reference lets escape as an OverflowError
+        f = k_fan()
+        start = flow.chart_point((34, 35), (
+            complex(-1.4868291909382748e-124, -1.3122937544277027e-124),
+            complex(-4.26103799681801e+110, -2.9656047667986214e+110),
+        ))
+        d = flow.direction((20, -30))
+        with pytest.raises(OverflowError):
+            reference_track(f, start, d, -100.0)
+        segments = flow.track(f, start, d, -100.0)
+        assert segments[-1].chart == (0, 42) and len(segments) > 2
+
+
+class TestTransitionsPerSwitch:
+    def count_switches(self, monkeypatch, fans, seed):
+        sources = []
+        original = flow.transition
+
+        def counting(f, source, target):
+            sources.append(source)
+            return original(f, source, target)
+
+        monkeypatch.setattr(flow, "transition", counting)
+        rng = random.Random(seed)
+        runs = []
+        for f in fans:
+            n = f.ambient_dim
+            for xi in sample_directions(n, rng) * 2:
+                start = generic_start(f, rng.choice(toric.fixed_points(f)), rng)
+                del sources[:]
+                segments = flow.track(f, start, flow.direction(xi), flow.R_AT_INFINITY)
+                # a switch maps from the chart it leaves; consecutive
+                # switches leave different charts
+                per_switch = [len(list(g)) for _, g in itertools.groupby(sources)]
+                assert len(per_switch) == len(segments) - 1
+                runs += [(n, k) for k in per_switch]
+        return runs
+
+    def test_cpn(self, monkeypatch):
+        runs = self.count_switches(monkeypatch, [cpn(2), cpn(3), cpn(4)], 3)
+        assert len(runs) >= 30
+        assert all(k <= n + 1 for n, k in runs)
+
+    def test_subdivision_iterates(self, monkeypatch):
+        runs = self.count_switches(monkeypatch, subdivision_iterates(), 4)
+        assert len(runs) >= 100
+        assert all(k <= n + 1 for n, k in runs)
+        # the exact transition is applied about once per switch
+        assert sum(k for _, k in runs) <= 1.2 * len(runs)
