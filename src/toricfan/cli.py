@@ -129,6 +129,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    if args.oracle != "facet" and args.samples < 1:
+        raise BadParam(f"--samples must be at least 1, got {args.samples}")
     out = Output(args.format == "machine")
     fan = _read_fan(args.fan, out)
     if not _require_valid(fan, out):
@@ -215,13 +217,12 @@ def cmd_atlas(args) -> int:
         rows = ";".join(",".join(str(x) for x in row) for row in m.exponents)
         out.both("transition", _fmt_cone(c), _fmt_cone(d), rows,
                  text=f"transition {{{_fmt_cone(c)}}} -> {{{_fmt_cone(d)}}}: {rows}")
+    # The map from a to b is A_b G_a^T.  If every A_c G_c^T is the identity,
+    # then G_c^T A_c is too, so M_{b->c} M_{a->b} = M_{a->c} and
+    # M_{b->a} M_{a->b} = I for all a, b, c.  Conversely those identities at
+    # a = b = c give M_{c->c}^2 = M_{c->c} = I: the m checks decide the cocycle.
     identity = toric.MonomialMap.identity(fan.ambient_dim).exponents
-    ok = all(
-        maps[d, c].after(m).exponents == identity for (c, d), m in maps.items()
-    ) and all(
-        maps[b, c].after(maps[a, b]).exponents == maps[a, c].exponents
-        for a in charts for b in charts for c in charts
-    )
+    ok = all(maps[c, c].exponents == identity for c in charts)
     out.both("cocycle", str(ok).lower(),
              text=f"cocycle identities: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1

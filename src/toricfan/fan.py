@@ -486,6 +486,7 @@ def is_complete_facet(f: Fan) -> tuple[bool, FacetReport]:
 
 
 RAYCAST_BOUND = 97
+RAYCAST_CHUNK = 2048  # samples classified together by _chart_cover
 
 
 def is_complete_raycast(f: Fan, samples: int = 10000, seed: int = 0):
@@ -494,37 +495,119 @@ def is_complete_raycast(f: Fan, samples: int = 10000, seed: int = 0):
     Samples integer directions with entries uniform in [-B, B] (B = 97,
     zero vector rejected) and classifies each with exact arithmetic.
     Returns (True, None) when every sample lies in the support, else
-    (False, witness_direction).  Deterministic for a given seed.
+    (False, witness) for the first sample outside it.  Deterministic for
+    a given seed: the entries are the draws of
+    random.Random(seed).randrange(-B, B + 1), n to a sample, and a zero
+    sample is redrawn whole.  Those draws are the top bytes of
+    getrandbits(32k).to_bytes(4k, "little") with the bytes >= 2B + 1
+    deleted, which _sample_chunks reads in C.
 
-    A sample lies in the support when some chart's weight rows all pair
-    nonnegatively with it, or, for a cone without a chart, by the exact
-    test of support_contains; the charts are read once per call.
+    The samples are classified RAYCAST_CHUNK at a time.  _chart_cover
+    finds those that some chart's weight rows all pair nonnegatively
+    with, by exact big-integer arithmetic on packed fields of
+    _field_width(charts) bytes: the least w with B * sum|a_k| < 2^(8w-1)
+    for every weight row a.  Each sample no chart covers is then tried,
+    in order, on the cones without a chart by the exact test of
+    support_contains.  The charts are read once per call, memory is
+    bounded by the chunk, and an incomplete fan stops at the first chunk
+    that holds a witness.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    randrange = random.Random(seed).randrange  # randint(a, b) is randrange(a, b + 1)
-    low, high = -RAYCAST_BOUND, RAYCAST_BOUND + 1
     n = f.ambient_dim
     charts = [rows for rows in f.charts.values() if rows is not None]
     others = [c for c, rows in f.charts.items() if rows is None]
-    for _ in range(samples):
-        v = tuple(randrange(low, high) for _ in range(n))
-        while not any(v):
-            v = tuple(randrange(low, high) for _ in range(n))
-        if not _in_some_chart(charts, v) and \
-                all(_exact_contains(f, c, v) is None for c in others):
-            return False, v
+    width = _field_width(charts)
+    for block in _sample_chunks(n, samples, seed):
+        covered = _chart_cover(charts, block, n, width)
+        s = covered.find(0)
+        while s >= 0:
+            v = tuple(b - RAYCAST_BOUND for b in block[s * n:(s + 1) * n])
+            if all(_exact_contains(f, c, v) is None for c in others):
+                return False, v
+            s = covered.find(0, s + 1)
     return True, None
 
 
-def _in_some_chart(charts, v) -> bool:
+def _sample_chunks(n: int, samples: int, seed: int):
+    """The raycast's samples, RAYCAST_CHUNK at a time (fewer in the last
+    chunk), as bytes: n to a sample, entry b - B for byte b.
+
+    randrange(-B, B + 1) takes the top byte of one 32-bit Mersenne
+    Twister output and draws again while it is >= 2B + 1.  getrandbits(32k)
+    is k such outputs in little-endian order, so its top bytes with the
+    bytes >= 2B + 1 deleted are the same draws, made in C.  A sample of n
+    bytes all equal to B is the zero vector; it is dropped, as a redraw of
+    all n entries.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    reject = bytes(range(2 * RAYCAST_BOUND + 1, 256))
+    zero = bytes([RAYCAST_BOUND]) * n
+    pending = b""
+    while samples > 0:
+        want = min(samples, RAYCAST_CHUNK) * n
+        chunk = b""
+        while len(chunk) < want:
+            short = want - len(chunk)
+            while len(pending) < short:
+                words = short * 4 // 3 + 16  # 195 of 256 top bytes are kept
+                pending += getrandbits(32 * words).to_bytes(4 * words, "little")[3::4] \
+                    .translate(None, reject)
+            piece, pending = pending[:short], pending[short:]
+            if zero in piece:
+                piece = b"".join(piece[i:i + n] for i in range(0, short, n)
+                                 if piece[i:i + n] != zero)
+            chunk += piece
+        samples -= want // n
+        yield chunk
+
+
+def _field_width(charts) -> int:
+    """Bytes per packed sample: the least w with B * sum|a_k| < 2^(8w-1)
+    for every weight row a, so that a pairing offset by 2^(8w-1) fills
+    its field without carrying into the next."""
+    bound = RAYCAST_BOUND * max(
+        (sum(map(abs, row)) for rows in charts for row in rows), default=0)
+    return bound.bit_length() // 8 + 1
+
+
+def _chart_cover(charts, block: bytes, n: int, w: int) -> bytes:
+    """One byte per sample of `block` (as _sample_chunks yields it): 0x80
+    when the sample pairs nonnegatively with every weight row of some
+    chart, 0 otherwise.
+
+    Coordinate column j is packed into one integer P_j with the byte of
+    sample s in the w-byte field s, so P_j holds v_sj + B.  For a row a,
+    sum_j a_j P_j + (2^(8w-1) - B sum_j a_j) * ONES holds <a, v_s> +
+    2^(8w-1) in field s, with no carry since |<a, v_s>| < 2^(8w-1), and
+    the top bit of a field is set exactly when <a, v_s> >= 0.  The masks
+    of those top bits are ANDed over a chart's rows and ORed over charts.
+    """
+    k = len(block) // n
+    size = k * w
+    columns = []
+    for j in range(n):
+        packed = bytearray(size)
+        packed[::w] = block[j::n]
+        columns.append(int.from_bytes(packed, "little"))
+    ones = int.from_bytes(b"\x01".ljust(w, b"\x00") * k, "little")
+    half = 1 << (8 * w - 1)
+    high = ones * half
+    covered = 0
     for rows in charts:
+        mask = high
         for row in rows:
-            if sum(map(mul, row, v)) < 0:
+            total = (half - RAYCAST_BOUND * sum(row)) * ones
+            for a, column in zip(row, columns):
+                if a:
+                    total += a * column
+            mask &= total
+            if not mask:
                 break
-        else:
-            return True
-    return False
+        covered |= mask
+        if covered == high:
+            break
+    return covered.to_bytes(size, "little")[w - 1::w]
 
 
 def star_subdivide(f: Fan, cone_indices) -> Fan:

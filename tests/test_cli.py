@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from toricfan import flow
+import toricfan
+from corpus import complete_builtins, subdivision_iterates
+from toricfan import cli, flow, lattice, toric
 from toricfan.cli import build_parser, main
 from toricfan.fan import fans_equal
-from toricfan.formats import parse_fan
+from toricfan.formats import dump_fan, parse_fan
 from toricfan.library import cpn
 
 
@@ -73,6 +78,11 @@ class TestComplete:
         lines = capsys.readouterr().out.strip().splitlines()
         assert "facet true" in lines and "raycast true" in lines
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_rejected(self, cp2_file, samples, capsys):
+        assert main(["complete", cp2_file, "--samples", samples]) == 2
+        assert "--samples" in capsys.readouterr().err
+
     def test_deterministic_output(self, quadrant_file, capsys):
         args = ["complete", quadrant_file, "--oracle", "raycast",
                 "--samples", "300", "--seed", "42", "--format", "machine"]
@@ -132,10 +142,62 @@ class TestQuotient:
         assert "component_group trivial" in out
 
 
+def brute_cocycle(f):
+    """The atlas verdict by the full check: every transition composed
+    with its reverse, and every triple of charts composed."""
+    charts = toric.fixed_points(f)
+    maps = {(c, d): toric.transition(f, c, d) for c in charts for d in charts}
+    identity = lattice.identity(f.ambient_dim)
+    return all(
+        maps[d, c].after(m).exponents == identity for (c, d), m in maps.items()
+    ) and all(
+        maps[b, c].after(maps[a, b]).exponents == maps[a, c].exponents
+        for a in charts for b in charts for c in charts
+    )
+
+
+def atlas_records(path, capsys):
+    code = main(["atlas", path, "--format", "machine"])
+    lines = capsys.readouterr().out.splitlines()
+    return code, [line for line in lines if line.startswith("cocycle ")]
+
+
+def swap_first_chart_rows(f):
+    """Swap the first two weight rows cached for the first chart: the
+    rows stay a Z-basis, but no longer pair to 1 with their generators."""
+    c = toric.fixed_points(f)[0]
+    rows = f.chart_weights(c)
+    f._weight_cache[c] = (rows[1], rows[0]) + rows[2:]
+
+
 class TestAtlas:
     def test_cocycle_ok(self, cp2_file, capsys):
         assert main(["atlas", cp2_file]) == 0
         assert "cocycle identities: ok" in capsys.readouterr().out
+
+    def test_verdict_matches_full_check(self, tmp_path, capsys):
+        fans = list(complete_builtins().values()) + subdivision_iterates()
+        for k, f in enumerate(fans):
+            path = tmp_path / f"{k}.fan"
+            path.write_text(dump_fan(f))
+            parsed, _ = parse_fan(path.read_text())
+            assert brute_cocycle(parsed)
+            assert atlas_records(str(path), capsys) == (0, ["cocycle true"])
+
+    def test_swapped_rows_break_the_cocycle(self, tmp_path, monkeypatch, capsys):
+        def corrupted_validate(fan, real=cli.validate):
+            report = real(fan)
+            swap_first_chart_rows(fan)
+            return report
+
+        monkeypatch.setattr(cli, "validate", corrupted_validate)
+        for k, f in enumerate([cpn(2), cpn(3)] + subdivision_iterates()[:2]):
+            path = tmp_path / f"{k}.fan"
+            path.write_text(dump_fan(f))
+            parsed, _ = parse_fan(path.read_text())
+            swap_first_chart_rows(parsed)
+            assert not brute_cocycle(parsed)
+            assert atlas_records(str(path), capsys) == (1, ["cocycle false"])
 
 
 class TestLimit:
@@ -288,3 +350,13 @@ class TestLib:
 
     def test_bad_param(self):
         assert main(["lib", "cpn", "0"]) == 2
+
+
+def test_python_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toricfan.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "toricfan", "lib", "cpn", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    f, _ = parse_fan(done.stdout)
+    assert fans_equal(f, cpn(2))

@@ -639,6 +639,88 @@ class TestRaycastMatchesReference:
         with pytest.raises(ValueError):
             is_complete_raycast(CP2, 0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123, 2024])
+    def test_large_chart_rows(self, seed):
+        # chart rows with entries of size 10**6 need 4-byte fields
+        big = hirzebruch(10 ** 6)
+        gap = make_fan(big.rays, [c for c in big.maximal_cones if c != (2, 3)])
+        for f in (big, gap):
+            for samples in (1, 3, 400):
+                assert is_complete_raycast(f, samples, seed) == \
+                    reference_raycast(f, samples, seed), (f, samples, seed)
+
+
+def randrange_samples(n, count, seed):
+    """The raycast's samples drawn one entry at a time, a zero vector
+    redrawn; also returns how many vectors were drawn."""
+    rng = random.Random(seed)
+    out, drawn = [], 0
+    while len(out) < count:
+        v = tuple(rng.randrange(-97, 98) for _ in range(n))
+        drawn += 1
+        if any(v):
+            out.append(v)
+    return out, drawn
+
+
+def decoded_samples(n, count, seed):
+    return [tuple(b - 97 for b in chunk[i:i + n])
+            for chunk in fan_module._sample_chunks(n, count, seed)
+            for i in range(0, len(chunk), n)]
+
+
+def wedge_gap_fan(v, m=10 ** 5):
+    """A fan of two unimodular cones covering all of R^2 except an open
+    wedge around the ray of v, so thin that the only integer points with
+    entries in [-97, 97] inside it are the positive multiples of the
+    primitive vector p on that ray.
+
+    With det(p, u) = 1, the cones are spanned by m*p + u, -p and by -p,
+    m*p - u; in the basis (p, u) the wedge is x > m*|y|, and |x| stays
+    below 2 * 97 * 137 < m for every sample.
+    """
+    a, b = lattice.primitive(v)
+    _, c, d = lattice._xgcd(a, b)  # c*a + d*b = 1, so u = (-d, c)
+    rays = [(m * a - d, m * b + c), (-a, -b), (m * a + d, m * b - c)]
+    return make_fan(rays, [(0, 1), (1, 2)])
+
+
+class TestRaycastKernel:
+    CHUNK = fan_module.RAYCAST_CHUNK
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_samples_are_randrange_draws(self, n):
+        count = self.CHUNK + 500
+        for seed in (0, 5):
+            expected, drawn = randrange_samples(n, count, seed)
+            assert decoded_samples(n, count, seed) == expected
+            if n == 1:
+                assert drawn > count  # zero vectors were redrawn
+
+    @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, CHUNK + 1, 10 ** 4])
+    def test_witness_on_the_last_sample(self, samples):
+        """A fan whose support misses only the ray of the last sample:
+        complete for one sample fewer, and that sample is the witness."""
+        for seed in range(100):
+            drawn, _ = randrange_samples(2, samples, seed)
+            p = lattice.primitive(drawn[-1])
+            if not any(lattice.primitive(v) == p for v in drawn[:-1]):
+                break
+        f = wedge_gap_fan(drawn[-1])
+        assert all(rows is not None for rows in f.charts.values())
+        assert is_complete_raycast(f, samples, seed) == (False, drawn[-1])
+        assert is_complete_raycast(f, samples - 1, seed) == (True, None)
+        assert is_complete_raycast(f, samples, seed) == reference_raycast(f, samples, seed)
+
+    def test_iterates_complete_at_full_sample_count(self):
+        for f in subdivision_iterates():
+            assert is_complete_raycast(f, 10 ** 4, 0) == (True, None)
+
+    def test_field_width_bound(self):
+        for bound_rows, width in [([(1, 0)], 1), ([(1, 1)], 2), ([(337, 0)], 2),
+                                  ([(338, 0)], 3), ([(10 ** 6, 1)], 4)]:
+            assert fan_module._field_width([bound_rows]) == width
+
 
 class TestStarSubdivide:
     def test_cp2_blowup(self):
