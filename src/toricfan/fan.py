@@ -1,10 +1,12 @@
 """Fans of unimodular cones.
 
-A fan is stored as a ray table plus the index sets of its maximal cones;
-the full face closure is materialized at construction, so downstream
-queries (the simplicial complex, facet incidence, support membership)
-are set lookups.  Each cone's facet description is computed once and
-cached on the fan for every layer to read.  Axiom checking, the
+A fan is stored as a ray table plus the index sets of its maximal cones
+and a map from each ray to the maximal cones holding it.  A set of rays
+is a cone of the fan when some maximal cone holds all of them, so the
+face closure (2^k faces of a cone of k rays) is built only when asked
+for, by Fan.cones and sigma.  Each cone's facet description is computed
+once and cached on the fan for every layer to read; the charts of the
+maximal cones come from a walk across their walls.  Axiom checking, the
 facet-pairing completeness criterion, the ray-casting completeness
 oracle, and star subdivision all live here.
 """
@@ -38,12 +40,14 @@ _MISSING = object()  # cache-miss marker; a cached chart may be None
 
 
 class Fan:
-    """Immutable fan: ray table, maximal cones, derived face closure.
+    """Immutable fan: ray table, maximal cones, ray-to-cone incidence.
 
     Construction normalizes the listed cones (sorts, deduplicates, absorbs
-    subsets) and rejects structurally broken input; it does not check the
-    fan axioms themselves -- that is validate()'s job, so that invalid
-    fans can be represented and reported on.
+    subsets) and rejects structurally broken input.  It finds the cones
+    that absorb a shorter one through the incidence map, and builds no
+    face closure (see `cones`).  It does not check the fan axioms
+    themselves -- that is validate()'s job, so that invalid fans can be
+    represented and reported on.
     """
 
     def __init__(self, table: RayTable, maximal_cones):
@@ -57,24 +61,26 @@ class Fan:
             cones.append(idx)
         if not cones:
             cones = [()]
-        # keep only inclusion-maximal index sets
+        # keep only inclusion-maximal index sets: scanning longest first, a
+        # cone is dropped when some kept (so longer) cone holds all its rays
         cones = sorted(set(cones), key=len, reverse=True)
+        longest = len(cones[0])
         maximal = []
+        incidence: dict[int, set[int]] = {}
         for c in cones:
-            if not any(set(c) < set(other) for other in maximal):
-                maximal.append(c)
-        used = set().union(*(set(c) for c in maximal))
-        if used != set(range(len(table))):
-            missing = sorted(set(range(len(table))) - used)
+            if len(c) < longest and _holding(incidence, c):
+                continue
+            for i in c:
+                incidence.setdefault(i, set()).add(len(maximal))
+            maximal.append(c)
+        if len(incidence) != len(table):
+            missing = sorted(set(range(len(table))) - incidence.keys())
             raise MalformedInput(f"rays {missing} appear in no maximal cone")
-        closure = set()
-        for c in maximal:
-            for k in range(len(c) + 1):
-                closure.update(combinations(c, k))
         self._table = table
         self._maximal = tuple(sorted(maximal))
         self._maximal_set = frozenset(maximal)
-        self._closure = frozenset(closure)
+        self._incidence = incidence
+        self._closure: frozenset[IndexSet] | None = None
         self._weight_cache: dict[IndexSet, tuple | None] = {}
         self._description_cache: dict[IndexSet, tuple] = {}
         self._facet_map: dict[IndexSet, tuple[IndexSet, ...]] | None = None
@@ -107,7 +113,14 @@ class Fan:
 
     @property
     def cones(self) -> frozenset[IndexSet]:
-        """Face closure: every cone of the fan as a sorted index set."""
+        """Face closure: every cone of the fan as a sorted index set, all
+        2^k faces of each maximal cone of k rays; built on first use."""
+        if self._closure is None:
+            closure = set()
+            for c in self._maximal:
+                for k in range(len(c) + 1):
+                    closure.update(combinations(c, k))
+            self._closure = frozenset(closure)
         return self._closure
 
     @property
@@ -138,14 +151,50 @@ class Fan:
     def charts(self) -> dict[IndexSet, tuple | None]:
         """Each maximal cone, in order, mapped to its chart_weights (None
         for a cone without a chart); built on first use, so loops over
-        the maximal cones read every chart once per fan."""
+        the maximal cones read every chart once per fan.
+
+        The charts are found by a walk across the walls of facet_map,
+        the wall-crossing rule of adjacent fixed points.  A Hermite normal
+        form (lattice.dual_basis) runs only on a cone no walk has reached
+        yet; a unimodular one seeds a walk, and each neighbour's dual
+        basis follows from the current cone's by _cross_wall in O(n^2).
+        A neighbour that is not unimodular gets None and is not crossed;
+        the cones beyond it get their own seed.  So a complete unimodular
+        fan costs one HNF.  Entries already in the chart_weights cache are
+        read, not redone.
+        """
         if self._charts is None:
-            self._charts = {c: self.chart_weights(c) for c in self._maximal}
+            cache = self._weight_cache
+            walls = self.facet_map
+            rays = self._table.rays
+            walked = set()
+            for seed in self._maximal:
+                if seed in walked or self.chart_weights(seed) is None:
+                    continue
+                walked.add(seed)
+                stack = [seed]
+                while stack:
+                    c = stack.pop()
+                    rows = cache[c]
+                    for i in range(len(c)):
+                        wall = c[:i] + c[i + 1:]
+                        for d in walls[wall]:
+                            if d in walked:
+                                continue
+                            if d not in cache:
+                                p = _outside(d, wall)
+                                cache[d] = _cross_wall(rows, i, rays[d[p]], p)
+                            if cache[d] is not None:
+                                walked.add(d)
+                                stack.append(d)
+            self._charts = {c: cache[c] for c in self._maximal}
         return self._charts
 
     def cone(self, indices) -> Cone:
+        """The cone over `indices`, which must be a face of some maximal
+        cone (MalformedInput otherwise)."""
         idx = tuple(sorted(indices))
-        if idx not in self._closure:
+        if len(set(idx)) != len(idx) or not _holding(self._incidence, idx):
             raise MalformedInput(f"{set(indices) if indices else '{}'} is not a cone of this fan")
         return Cone(self._table, idx)
 
@@ -159,7 +208,9 @@ class Fan:
 
         Row i pairs to 1 with the i-th generator in ascending ray-index
         order and to 0 with the others: these are the isotropy weights of
-        the cone's fixed point and its facet normals.
+        the cone's fixed point and its facet normals.  A miss runs one
+        Hermite normal form (lattice.dual_basis); `charts` fills this same
+        cache for all maximal cones, mostly without one.
         """
         hit = self._weight_cache.get(indices, _MISSING) if type(indices) is tuple else _MISSING
         if hit is not _MISSING:  # a sorted tuple seen before: no sorting
@@ -312,6 +363,43 @@ def _wall_certificate(f: Fan) -> bool:
             return inside == 1
 
 
+def _holding(incidence: dict[int, set[int]], c: IndexSet) -> bool:
+    """Does some maximal cone hold every ray of c?  `incidence` maps each
+    ray to the maximal cones holding it, by number.  Every fan has a
+    maximal cone, so the empty cone is always held."""
+    if not c:
+        return True
+    try:
+        return bool(set.intersection(*[incidence[i] for i in c]))
+    except KeyError:
+        return False
+
+
+def _cross_wall(rows, i: int, g: tuple, p: int):
+    """Dual basis of the cone d across the wall of c opposite its i-th ray,
+    from the dual basis `rows` of c; None when d is not unimodular.
+
+    d trades c's i-th generator for g.  With alpha = rows * g, so that
+    g = sum_k alpha_k g_k, |det G_d| = |alpha_i| |det G_c| = |alpha_i|.
+    When alpha_i = +-1,
+    B_i = alpha_i A_i pairs to 1 with g and to 0 with the other
+    generators, and B_k = A_k - alpha_k B_i (k != i) pairs to 0 with g and
+    keeps A_k's pairings with them.  The rows are returned in d's
+    ascending ray order, B_i at g's position p.
+    """
+    a_i = sum(map(mul, rows[i], g))
+    if a_i != 1 and a_i != -1:
+        return None
+    b_i = rows[i] if a_i == 1 else tuple(-x for x in rows[i])
+    out = []
+    for k, row in enumerate(rows):
+        if k != i:
+            a_k = sum(map(mul, row, g))
+            out.append(tuple(x - a_k * y for x, y in zip(row, b_i)) if a_k else row)
+    out.insert(p, b_i)
+    return tuple(out)
+
+
 def _outside(c: IndexSet, wall: IndexSet) -> int:
     """Position in c of its one ray that is not in `wall`, a facet of c."""
     for i, (a, b) in enumerate(zip(c, wall)):
@@ -323,8 +411,8 @@ def _outside(c: IndexSet, wall: IndexSet) -> int:
 def _pairwise_violations(f: Fan) -> tuple[Violation, ...]:
     """Every violation of the fan axioms, found pair by pair.
 
-    Face closure holds by construction (the Fan constructor builds it from
-    every subset of every maximal cone), so it is not re-checked.
+    Face closure holds by definition (a cone of the fan is any subset of
+    a maximal cone), so it is not checked.
     Unimodularity is checked on the listed cones (faces of unimodular
     cones are unimodular).  The intersection axiom is checked on pairs of
     listed cones, which suffices for simplicial fans: a pair passes at once

@@ -109,7 +109,11 @@ def hnf(m) -> tuple[Matrix, Matrix]:
     Returns (H, U) with H = U*m, U unimodular, pivots positive, entries
     above each pivot reduced into [0, pivot), and zero rows at the bottom.
     """
-    m = mat(m)
+    return _hnf(mat(m))
+
+
+def _hnf(m: Matrix) -> tuple[Matrix, Matrix]:
+    """hnf of a matrix already in Matrix form."""
     if not m:
         raise ValueError("empty matrix")
     nrows, ncols = len(m), len(m[0])
@@ -133,7 +137,7 @@ def hnf(m) -> tuple[Matrix, Matrix]:
                 w[i] = [s - q * t for s, t in zip(w[i], w[row])]
                 u[i] = [s - q * t for s, t in zip(u[i], u[row])]
         row += 1
-    return mat(w), mat(u)
+    return tuple(map(tuple, w)), tuple(map(tuple, u))
 
 
 def _col_combine(w, v, j, k, row):
@@ -227,12 +231,16 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
         if w[t][t] < 0:
             w[t] = [-x for x in w[t]]
             u[t] = [-x for x in u[t]]
-    return mat(w), mat(u), mat(v)
+    return tuple(map(tuple, w)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 def invariant_factors(m) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith normal form, in chain order."""
     s, _, _ = snf(m)
+    return _diagonal(s)
+
+
+def _diagonal(s: Matrix) -> tuple[int, ...]:
     k = min(len(s), len(s[0]))
     return tuple(s[i][i] for i in range(k) if s[i][i])
 
@@ -266,14 +274,17 @@ def dual_basis(g) -> Matrix:
 
     Integer arithmetic only: the Hermite form of G is U*G with U
     unimodular, and it is the identity exactly when G is unimodular; then
-    U = G^{-1} and A = (G^{-1})^T = U^T.
+    U = G^{-1} and A = (G^{-1})^T = U^T.  A square Hermite form is the
+    identity when its diagonal is all ones: a nonzero (t, t) entry for
+    every t puts each pivot on the diagonal, and the entries above a
+    pivot of 1 are reduced to 0.
     """
     g = mat(g)
     n = len(g)
     if n == 0 or any(len(r) != n for r in g):
         raise ValueError("dual basis needs a square nonempty matrix")
-    h, u = hnf(g)
-    if h != identity(n):
+    h, u = _hnf(g)
+    if any(h[t][t] != 1 for t in range(n)):
         raise NotUnimodular(f"|det| = {abs(det(g))}, expected 1")
     return transpose(u)
 
@@ -406,16 +417,22 @@ def integer_kernel_basis(m) -> tuple[Vector, ...]:
     Comes from the Smith decomposition, so the basis spans a saturated
     sublattice.  Each vector is sign-normalized (first nonzero entry > 0).
     """
-    m = mat(m)
+    return kernel_and_invariant_factors(m)[0]
+
+
+def kernel_and_invariant_factors(m) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """integer_kernel_basis(m) and invariant_factors(m) from one Smith form.
+
+    With S = U*m*V, the kernel basis is the columns of V past the nonzero
+    diagonal of S.  A matrix and its transpose have the same invariant
+    factors, so this also gives those of m's transpose.
+    """
     s, _, v = snf(m)
     k = min(len(s), len(s[0]))
-    ncols = len(s[0])
     cols = transpose(v)
-    out = []
-    for i in range(ncols):
-        if i >= k or s[i][i] == 0:
-            out.append(sign_normalize(cols[i]))
-    return tuple(out)
+    kernel = tuple(sign_normalize(cols[i]) for i in range(len(s[0]))
+                   if i >= k or s[i][i] == 0)
+    return kernel, _diagonal(s)
 
 
 def clear_denominators(x) -> Vector:

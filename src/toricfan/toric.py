@@ -152,8 +152,10 @@ class QuotientPresentation:
 
 def quotient_presentation(f: Fan) -> QuotientPresentation:
     rays = f.rays
-    kernel = lattice.integer_kernel_basis(lattice.transpose(rays)) if rays else ()
-    factors = lattice.invariant_factors(rays) if rays else ()
+    # one Smith form of the transposed ray matrix: its kernel, and the
+    # invariant factors it shares with the ray matrix
+    kernel, factors = (lattice.kernel_and_invariant_factors(lattice.transpose(rays))
+                       if rays else ((), ()))
     return QuotientPresentation(
         ray_count=f.ray_count,
         ray_matrix=rays,

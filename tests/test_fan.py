@@ -11,13 +11,14 @@ from corpus import (
     incomplete_fans,
     invalid_fans,
     random_two_cone_fans,
+    random_unimodular,
     subdivision_iterates,
 )
 from oracles import brute_validate
 from toricfan import fan as fan_module
 from toricfan import lattice
 from toricfan.cone import halfspace_description, intersect_generators
-from toricfan.errors import DegenerateSubdivision, MalformedInput, NotMaximal
+from toricfan.errors import DegenerateSubdivision, MalformedInput, NotMaximal, NotUnimodular
 from toricfan.fan import (
     FacetReport,
     SimplicialComplex,
@@ -33,6 +34,7 @@ from toricfan.fan import (
     validate,
 )
 from toricfan.library import cp1, cpn, hirzebruch, quadrant
+from toricfan.toric import weight_data_from_fan
 
 CP2 = cpn(2)
 
@@ -374,6 +376,152 @@ class TestWallCertificate:
     def test_lower_dimensional_or_non_unimodular_cones_fall_back(self):
         for f in (quadrant(1), make_fan([(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)])):
             assert not _wall_certificate(f)
+
+
+def reference_chart(f, c):
+    """The chart of a maximal cone from its own Hermite normal form."""
+    if len(c) != f.ambient_dim:
+        return None
+    try:
+        return lattice.dual_basis(f.generators(c))
+    except NotUnimodular:
+        return None
+
+
+def assert_charts_match_reference(f):
+    assert f.charts == {c: reference_chart(f, c) for c in f.maximal_cones}, f
+
+
+def image_under(m, f):
+    """The fan of f's cones over the rays m * r, m in GL(n, Z)."""
+    return make_fan([tuple(lattice.dot(row, r) for row in m) for r in f.rays],
+                    f.maximal_cones)
+
+
+def chain_of(base, rounds, seed=0):
+    return subdivision_iterates(seed=seed, rounds=rounds, bases=(base,))[-1]
+
+
+def non_unimodular_between():
+    """Cones {0,1}, {1,2}, {2,3} with |det| 1, 2, 1.  Crossing the wall
+    (1,) from {0,1} gives alpha_i = -2, and {2,3} lies only beyond {1,2}."""
+    return make_fan([(1, 0), (0, 1), (-2, 1), (-1, 0)], [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.fixture
+def dual_basis_calls(monkeypatch):
+    """Counts the Hermite normal forms run by lattice.dual_basis."""
+    calls = []
+    original = lattice.dual_basis
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(lattice, "dual_basis", counting)
+    return calls
+
+
+class TestChartWalk:
+    """Fan.charts by crossing walls against one HNF per cone."""
+
+    def test_corpora(self):
+        fans = list(complete_builtins().values()) + subdivision_iterates()
+        fans += incomplete_fans() + invalid_fans() + random_two_cone_fans(30, seed=5)
+        fans += [WINDS_TWICE, NOT_GENERIC_AT_2, non_unimodular_between()]
+        for f in fans:
+            assert_charts_match_reference(f)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.sampled_from(BASES), st.integers(0, 8), st.integers(0, 10 ** 6),
+           st.sampled_from(["none", "move", "drop", "add", "swap"]))
+    def test_unimodular_image_of_a_chain(self, base, rounds, seed, kind):
+        rng = random.Random(seed)
+        f = random_chain(base, rounds, rng)
+        f = image_under(random_unimodular(f.ambient_dim, rng), f)
+        if kind != "none":
+            f = mutate(f, kind, rng)
+            assume(f is not None)
+        assert_charts_match_reference(f)
+
+    def test_beyond_a_non_unimodular_neighbour(self, dual_basis_calls):
+        f = non_unimodular_between()
+        assert f.charts == {(0, 1): ((1, 0), (0, 1)), (1, 2): None,
+                            (2, 3): ((0, 1), (-1, -2))}
+        # one HNF for each side; the middle cone is settled by alpha_i
+        assert dual_basis_calls == [((1, 0), (0, 1)), ((-2, 1), (-1, 0))]
+        assert_charts_match_reference(f)
+
+    def test_non_unimodular_cone_in_a_complete_fan(self):
+        # cp3 with its first generator replaced by 2 e1 + e2: the first two
+        # cones have |det| 2, and the walk starts at the third
+        f = make_fan([(2, 1, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                     [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        assert [c for c, rows in f.charts.items() if rows is None] == [(0, 1, 2), (0, 1, 3)]
+        assert_charts_match_reference(f)
+
+    @pytest.mark.parametrize("f", [cpn(10), chain_of("cp3", 10)], ids=["cp10", "cp3-chain-10"])
+    def test_one_hermite_form_per_complete_fan(self, f, dual_basis_calls):
+        charts = f.charts
+        assert len(dual_basis_calls) == 1
+        assert None not in charts.values()
+        assert all(rows is f.chart_weights(c) for c, rows in charts.items())
+        assert len(dual_basis_calls) == 1
+
+    def test_cached_entries_are_kept(self, dual_basis_calls):
+        f = chain_of("cp3", 4)
+        kept = {c: f.chart_weights(c) for c in f.maximal_cones[::3]}
+        calls = len(dual_basis_calls)
+        assert all(f.charts[c] is rows for c, rows in kept.items())
+        assert len(dual_basis_calls) == calls
+        assert_charts_match_reference(f)
+
+
+def brute_maximal(cones):
+    sets = {frozenset(c) for c in cones}
+    return tuple(sorted(tuple(sorted(s)) for s in sets if not any(s < t for t in sets)))
+
+
+class TestNoMaterializedClosure:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.sets(st.integers(0, 5), max_size=4), min_size=1, max_size=8))
+    def test_keeps_the_inclusion_maximal_cones(self, cones):
+        rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+        used = sorted(set().union(*cones))
+        relabel = {i: k for k, i in enumerate(used)}
+        cones = [[relabel[i] for i in c] for c in cones]
+        f = make_fan(rays[:len(used)], cones, dim=3)
+        assert f.maximal_cones == brute_maximal(cones)
+
+    def test_cone_accepts_exactly_the_closure(self):
+        fans = list(complete_builtins().values()) + subdivision_iterates()[:4]
+        fans += incomplete_fans() + invalid_fans() + [make_fan([], [], dim=2)]
+        for f in fans:
+            faces = f.cones
+            r = f.ray_count
+            candidates = [c for k in range(min(r, 4) + 1) for c in combinations(range(r), k)]
+            candidates += [(0, 0), (-1,), (r,), (0, r), (r + 5,)]
+            for c in candidates:
+                if c in faces:
+                    assert f.cone(c).indices == c
+                    assert f.cone(reversed(c)).indices == c
+                else:
+                    with pytest.raises(MalformedInput):
+                        f.cone(c)
+
+    def test_closure_built_on_first_use(self):
+        f = cpn(3)
+        assert f._closure is None
+        assert f.cones is f.cones
+        assert len(f.cones) == 2 ** 4 - 1
+        assert sigma(f).faces is f.cones
+
+    def test_validate_facet_and_weights_leave_it_unbuilt(self):
+        f = cpn(16)
+        assert validate(f).ok
+        assert is_complete_facet(f)[0]
+        assert len(weight_data_from_fan(f).bases) == 17
+        assert f._closure is None
 
 
 class TestSigma:

@@ -158,6 +158,17 @@ class TestDualBasis:
         a = lattice.dual_basis(g)
         assert lattice.mat_mul(a, lattice.transpose(g)) == lattice.identity(n)
 
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+    @settings(max_examples=200)
+    def test_rejects_exactly_when_det_is_not_a_unit(self, rows):
+        if abs(perm_det(rows)) != 1:
+            with pytest.raises(NotUnimodular):
+                lattice.dual_basis(rows)
+        else:
+            a = lattice.dual_basis(rows)
+            assert lattice.mat_mul(a, lattice.transpose(rows)) == lattice.identity(len(rows))
+
     def test_rejects_singular_and_non_square(self):
         with pytest.raises(NotUnimodular):
             lattice.dual_basis(((1, 2), (2, 4)))
@@ -240,7 +251,24 @@ class TestDet:
         assert lattice.det(rows) == perm_det(rows)
 
 
+class TestReturnedRows:
+    @given(matrices)
+    @settings(max_examples=50)
+    def test_hnf_and_snf_rows_are_int_tuples(self, rows):
+        for m in lattice.hnf(rows) + lattice.snf(rows):
+            assert type(m) is tuple
+            assert all(type(r) is tuple and all(type(x) is int for x in r) for r in m)
+
+
 class TestKernel:
+    @given(matrices)
+    @settings(max_examples=150)
+    def test_one_smith_form_gives_kernel_and_factors(self, rows):
+        kernel, factors = lattice.kernel_and_invariant_factors(rows)
+        assert kernel == lattice.integer_kernel_basis(rows)
+        assert factors == lattice.invariant_factors(rows)
+        assert factors == lattice.invariant_factors(lattice.transpose(rows))
+
     def test_integer_kernel_is_saturated(self):
         basis = lattice.integer_kernel_basis(((1, 1, 1),))
         assert len(basis) == 2

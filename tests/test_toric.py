@@ -115,6 +115,23 @@ class TestQuotientPresentation:
         assert q.kernel_basis == ()
         assert q.component_group == ()
 
+    def test_one_smith_form(self, monkeypatch):
+        fans = list(complete_builtins().values()) + [quadrant(2), quadrant(3)]
+        expected = [(lattice.integer_kernel_basis(lattice.transpose(f.rays)),
+                     tuple(d for d in lattice.invariant_factors(f.rays) if d > 1))
+                    for f in fans]
+        calls = []
+        original = lattice.snf
+        monkeypatch.setattr(lattice, "snf", lambda m: calls.append(m) or original(m))
+        for f, (kernel, group) in zip(fans, expected):
+            q = toric.quotient_presentation(f)
+            assert (q.kernel_basis, q.component_group) == (kernel, group)
+        assert len(calls) == len(fans)
+
+    def test_component_group_of_a_non_unimodular_ray_matrix(self):
+        f = make_fan([(1, 0), (1, 2)], [(0, 1)])
+        assert toric.quotient_presentation(f).component_group == (2,)
+
     def test_kernel_identities_on_builtins(self):
         for f in complete_builtins().values():
             q = toric.quotient_presentation(f)
