@@ -194,9 +194,8 @@ def cmd_quotient(args) -> int:
                  text=f"finite components: {list(pres.component_group)}")
     else:
         out.both("component_group", "trivial", text="finite components: none")
-    zero_sets = sorted(pres.allowed_zero_sets.maximal_faces)
     out.note("allowed zero sets (maximal):")
-    for c in zero_sets:
+    for c in fan.maximal_cones:  # the maximal faces of pres.allowed_zero_sets
         out.both("zero_set", _fmt_cone(c), text=f"  {{{_fmt_cone(c)}}}")
     return 0
 

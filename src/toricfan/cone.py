@@ -3,16 +3,17 @@
 A cone is stored as a sorted tuple of indices into a shared ray table; the
 empty index set is the zero cone {0}.  Cones here are simplicial by
 construction (independent generators), so faces are exactly the generator
-subsets.  Membership tests and pairwise intersection are exact: rational
-Gaussian elimination and an incremental double description conversion,
-never floating point.
+subsets.  Membership tests and pairwise intersection are exact integer
+lattice algebra: a cone's facet normals and span equations come from one
+Smith normal form of its generators, and intersections from an
+incremental double description conversion, never floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from . import lattice
 from .errors import DependentGenerators, MalformedInput, NotUnimodular
@@ -87,9 +88,10 @@ def make_cone(table: RayTable, indices) -> Cone:
         raise MalformedInput(f"ray index out of range in {indices}")
     gens = [table[i] for i in idx]
     if gens:
-        if lattice.rational_rank(gens) != len(gens):
+        factors = lattice.invariant_factors(gens)
+        if len(factors) != len(gens):
             raise DependentGenerators(f"generators of {set(idx)} are dependent")
-        if not lattice.is_part_of_basis(gens):
+        if any(d != 1 for d in factors):
             raise NotUnimodular(f"generators of {set(idx)} are not part of a Z-basis")
     return Cone(table, idx)
 
@@ -105,8 +107,8 @@ def faces(c: Cone) -> frozenset[Cone]:
 
 def contains(c: Cone, v) -> bool:
     """Exact membership of an integer or rational vector."""
-    coeffs = _cone_coordinates(c.generators, v)
-    return coeffs is not None and all(a >= 0 for a in coeffs)
+    p = facet_pairings(halfspace_description(c.generators, c.ambient_dim), v)
+    return p is not None and all(x >= 0 for x in p)
 
 
 def relative_interior_contains(c: Cone, v) -> bool:
@@ -114,13 +116,18 @@ def relative_interior_contains(c: Cone, v) -> bool:
 
     For the zero cone this holds exactly for v = 0.
     """
-    coeffs = _cone_coordinates(c.generators, v)
-    return coeffs is not None and all(a > 0 for a in coeffs)
+    p = facet_pairings(halfspace_description(c.generators, c.ambient_dim), v)
+    return p is not None and all(x > 0 for x in p)
 
 
-def _cone_coordinates(generators, v):
-    """Coefficients of v in the generator span, or None if v is outside it."""
-    return lattice.solve_combination(generators, [Fraction(x) for x in v])
+def facet_pairings(description, v):
+    """Pairings of v with the facet normals of a cone described by
+    (ineqs, eqns), or None if v is outside its span.  The i-th pairing has
+    the sign of v's i-th generator coefficient."""
+    ineqs, eqns = description
+    if any(sum(map(mul, e, v)) for e in eqns):
+        return None
+    return [sum(map(mul, a, v)) for a in ineqs]
 
 
 def intersect(c1: Cone, c2: Cone) -> tuple[Vector, ...]:
@@ -138,25 +145,27 @@ def halfspace_description(generators, n):
     """Facet inequalities and span equations of a simplicial cone.
 
     Returns (ineqs, eqns): integer functionals with the cone equal to
-    { x : <a, x> >= 0 for a in ineqs, <e, x> = 0 for e in eqns }.
+    { x : <a, x> >= 0 for a in ineqs, <e, x> = 0 for e in eqns }.  ineqs[i]
+    is primitive, positive on the i-th generator and zero on the others.
+
+    One Smith form S = U*G*V of the k generator rows G, with invariant
+    factors d_1 | ... | d_k, gives both: G*V = U^-1 * S, so
+    x = V[:, :k] * diag(d_k / d_t) * U[:, i] has G*x = d_k e_i, and the
+    columns of V past k, a basis of the integer kernel of G, are the
+    equations.  For a unimodular full-dimensional cone the normals are
+    the columns of V*U = G^-1, its integer dual basis.
     """
     k = len(generators)
     if k == 0:
         return (), tuple(lattice.identity(n))
-    rows = [list(g) for g in generators]
-    # complete the generators to a rational basis with standard vectors
-    for j in range(n):
-        if len(rows) == n:
-            break
-        e = [0] * n
-        e[j] = 1
-        if lattice.rational_rank(rows + [e]) > len(rows):
-            rows.append(e)
-    if len(rows) < n:
+    s, u, v = lattice.snf(generators)
+    if k > n or s[k - 1][k - 1] == 0:
         raise DependentGenerators("generators do not span a simplicial cone")
-    inv = lattice._fraction_inverse(tuple(tuple(r) for r in rows))
-    duals = [lattice.clear_denominators([inv[j][i] for j in range(n)]) for i in range(n)]
-    return tuple(duals[:k]), tuple(duals[k:])
+    top = s[k - 1][k - 1]
+    scaled = [[v[r][t] * (top // s[t][t]) for t in range(k)] for r in range(n)]
+    normals = lattice.transpose(lattice.mat_mul(scaled, u))
+    return (tuple(lattice.primitive(a) for a in normals),
+            tuple(tuple(row[t] for row in v) for t in range(k, n)))
 
 
 def intersect_generators(gens1, gens2, n) -> tuple[Vector, ...]:
@@ -176,7 +185,7 @@ def intersect_descriptions(desc1, desc2, n) -> tuple[Vector, ...]:
     eqns = eq1 + eq2
     ineqs = ineq1 + ineq2
     if eqns:
-        span = lattice.rational_kernel(eqns)
+        span = lattice.integer_kernel_basis(eqns)
     else:
         span = lattice.identity(n)
     if not span:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, count
 from operator import mul
 
@@ -23,6 +22,7 @@ from . import lattice
 from .cone import (
     Cone,
     RayTable,
+    facet_pairings,
     halfspace_description,
     intersect_descriptions,
     make_table,
@@ -232,8 +232,8 @@ class Fan:
 
         A full-dimensional unimodular cone's normals are its integer dual
         basis (chart_weights) and it has no equations; any other cone gets
-        the rational cone.halfspace_description, which agrees with that
-        dual basis wherever both apply.
+        cone.halfspace_description, from one Smith form of its generators,
+        which agrees with that dual basis wherever both apply.
         """
         hit = self._description_cache.get(indices, _MISSING) if type(indices) is tuple else _MISSING
         if hit is not _MISSING:
@@ -427,13 +427,14 @@ def _pairwise_violations(f: Fan) -> tuple[Violation, ...]:
         if not gens or f.chart_weights(c) is not None:
             independent.append(c)
             continue
-        if lattice.rational_rank(gens) != len(gens):
+        factors = lattice.invariant_factors(gens)
+        if len(factors) != len(gens):
             violations.append(
                 Violation("unimodular", (c,), "generators are linearly dependent")
             )
             continue
         independent.append(c)
-        if not lattice.is_part_of_basis(gens):
+        if any(d != 1 for d in factors):
             violations.append(
                 Violation("unimodular", (c,), "generators are not part of a Z-basis")
             )
@@ -527,13 +528,11 @@ def support_contains(f: Fan, v):
 
 
 def _exact_contains(f: Fan, c: IndexSet, v):
-    """support_contains for one cone without a chart, by exact solving."""
-    gens = f.generators(c)
-    if not gens:
-        return () if all(Fraction(x) == 0 for x in v) else None
-    coeffs = lattice.solve_combination(gens, v)
-    if coeffs is not None and all(a >= 0 for a in coeffs):
-        return tuple(i for i, a in zip(c, coeffs) if a > 0)
+    """support_contains for one cone without a chart, by the signs of v's
+    pairings with the cone's cached description."""
+    p = facet_pairings(f.description(c), v)
+    if p is not None and all(x >= 0 for x in p):
+        return tuple(i for i, x in zip(c, p) if x > 0)
     return None
 
 

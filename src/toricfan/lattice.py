@@ -303,90 +303,18 @@ def is_part_of_basis(g) -> bool:
     return len(factors) == len(g) and all(f == 1 for f in factors)
 
 
-# --- exact rational helpers used by the cone machinery -----------------------
+# --- exact rational elimination ----------------------------------------------
+# One Gauss-Jordan pass behind three public names.  No other module of the
+# package calls them: cones and fans are described by the integer forms above.
 
 
-def _fraction_inverse(m: Matrix):
-    """Inverse of a square matrix as rows of Fractions (Gauss-Jordan)."""
-    n = len(m)
-    w = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if w[i][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        w[col], w[piv] = w[piv], w[col]
-        inv = 1 / w[col][col]
-        w[col] = [x * inv for x in w[col]]
-        for i in range(n):
-            if i != col and w[i][col]:
-                f = w[i][col]
-                w[i] = [x - f * y for x, y in zip(w[i], w[col])]
-    return [row[n:] for row in w]
-
-
-def rational_rank(rows) -> int:
-    """Rank over Q of a list of vectors."""
+def _rref(rows):
+    """Reduced row echelon form over Q: (w, pivots), w the rows as lists of
+    Fractions and pivots[r] the column of row r's leading 1."""
     w = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(w[0]) if w else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(w)) if w[i][col]), None)
-        if piv is None:
-            continue
-        w[rank], w[piv] = w[piv], w[rank]
-        f = w[rank][col]
-        w[rank] = [x / f for x in w[rank]]
-        for i in range(len(w)):
-            if i != rank and w[i][col]:
-                g = w[i][col]
-                w[i] = [x - g * y for x, y in zip(w[i], w[rank])]
-        rank += 1
-    return rank
-
-
-def solve_combination(vectors, target):
-    """Coefficients a with sum a_i * vectors[i] = target, or None.
-
-    The vectors must be linearly independent; entries may be ints or
-    Fractions.  Returns a tuple of Fractions when target is in the span.
-    """
-    k = len(vectors)
-    if k == 0:
-        return () if all(Fraction(x) == 0 for x in target) else None
-    n = len(vectors[0])
-    w = [[Fraction(vectors[j][i]) for j in range(k)] + [Fraction(target[i])]
-         for i in range(n)]
-    row = 0
     pivots = []
-    for col in range(k):
-        piv = next((i for i in range(row, n) if w[i][col]), None)
-        if piv is None:
-            raise ValueError("dependent vectors in solve_combination")
-        w[row], w[piv] = w[piv], w[row]
-        f = w[row][col]
-        w[row] = [x / f for x in w[row]]
-        for i in range(n):
-            if i != row and w[i][col]:
-                g = w[i][col]
-                w[i] = [x - g * y for x, y in zip(w[i], w[row])]
-        pivots.append(row)
-        row += 1
-    if any(w[i][k] for i in range(row, n)):
-        return None
-    return tuple(w[pivots[j]][k] for j in range(k))
-
-
-def rational_kernel(m) -> tuple[Vector, ...]:
-    """Primitive integer basis of { x : m x = 0 } over Q."""
-    m = [list(r) for r in m]
-    if not m:
-        raise ValueError("empty matrix")
-    ncols = len(m[0])
-    w = [[Fraction(x) for x in r] for r in m]
-    pivots = {}
-    row = 0
-    for col in range(ncols):
+    for col in range(len(w[0]) if w else 0):
+        row = len(pivots)
         piv = next((i for i in range(row, len(w)) if w[i][col]), None)
         if piv is None:
             continue
@@ -397,15 +325,43 @@ def rational_kernel(m) -> tuple[Vector, ...]:
             if i != row and w[i][col]:
                 g = w[i][col]
                 w[i] = [x - g * y for x, y in zip(w[i], w[row])]
-        pivots[col] = row
-        row += 1
+        pivots.append(col)
+    return w, pivots
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q of a list of vectors."""
+    return len(_rref(rows)[1])
+
+
+def solve_combination(vectors, target):
+    """Coefficients a with sum a_i * vectors[i] = target, or None.
+
+    The vectors must be linearly independent; entries may be ints or
+    Fractions.  Returns a tuple of Fractions when target is in the span.
+    """
+    k = len(vectors)
+    w, pivots = _rref([[v[i] for v in vectors] + [t] for i, t in enumerate(target)])
+    if pivots[:k] != list(range(k)):
+        raise ValueError("dependent vectors in solve_combination")
+    if len(pivots) > k:
+        return None
+    return tuple(w[j][k] for j in range(k))
+
+
+def rational_kernel(m) -> tuple[Vector, ...]:
+    """Primitive integer basis of { x : m x = 0 } over Q."""
+    w, pivots = _rref(m)
+    if not w:
+        raise ValueError("empty matrix")
+    ncols = len(w[0])
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
         x = [Fraction(0)] * ncols
         x[free] = Fraction(1)
-        for col, r in pivots.items():
+        for r, col in enumerate(pivots):
             x[col] = -w[r][free]
         basis.append(clear_denominators(x))
     return tuple(basis)

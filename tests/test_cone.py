@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 from corpus import random_unimodular
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_intersection_rays, lp_contains, supported_face_subsets
-from toricfan import cone
+from toricfan import cone, lattice
 from toricfan.errors import DependentGenerators, MalformedInput, NotUnimodular
 
 
@@ -211,3 +213,74 @@ class TestContainsAgainstLp:
         for _ in range(25):
             v = tuple(rng.randint(-6, 6) for _ in range(n))
             assert cone.contains(c, v) == lp_contains(c.generators, v, n)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rational_combinations_of_generators(self, seed):
+        # random integer points almost never lie in the span of a
+        # lower-dimensional cone: draw combinations of its generators with
+        # rational coefficients of both signs, some pushed off the span
+        rng = random.Random(300 + seed)
+        n = rng.choice((2, 3, 4))
+        g = random_unimodular(n, rng, ops=6)
+        k = rng.randint(1, n)
+        c = cone.make_cone(cone.make_table(g[:k], n), range(k))
+        for _ in range(25):
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(k)]
+            v = [sum(a * gen[i] for a, gen in zip(coeffs, c.generators)) for i in range(n)]
+            if k < n and rng.random() < 0.25:
+                v[rng.randrange(n)] += Fraction(1, rng.randint(1, 7))
+            v = tuple(v)
+            assert cone.contains(c, v) == lp_contains(c.generators, v, n), (c, v)
+            solved = lattice.solve_combination(c.generators, v)
+            inside = solved is not None and all(a > 0 for a in solved)
+            assert cone.relative_interior_contains(c, v) == inside, (c, v)
+
+
+@st.composite
+def generator_lists(draw):
+    """k generator rows in Z^n, 1 <= k <= n: the first k rows of a random
+    GL(n, Z) element (unimodular) or of a random integer matrix (any
+    index), optionally with the last row replaced by an integer
+    combination of the others (dependent)."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        rows = list(random_unimodular(n, random.Random(draw(st.integers(0, 10 ** 6))))[:k])
+    else:
+        entry = st.integers(-6, 6)
+        rows = [tuple(draw(entry) for _ in range(n)) for _ in range(k)]
+    if draw(st.booleans()):
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(k - 1)]
+        rows[-1] = tuple(sum(a * r[i] for a, r in zip(coeffs, rows)) for i in range(n))
+    return n, rows
+
+
+class TestHalfspaceDescription:
+    @given(generator_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_normals_and_equations(self, drawn):
+        n, gens = drawn
+        k = len(gens)
+        if lattice.rational_rank(gens) < k:
+            with pytest.raises(DependentGenerators):
+                cone.halfspace_description(gens, n)
+            return
+        ineqs, eqns = cone.halfspace_description(gens, n)
+        assert len(ineqs) == k and len(eqns) == n - k
+        assert all(type(x) is int and len(a) == n for a in ineqs + eqns for x in a)
+        for i, a in enumerate(ineqs):
+            assert lattice.primitive(a) == a
+            for j, g in enumerate(gens):
+                p = lattice.dot(a, g)
+                assert p > 0 if i == j else p == 0
+        assert all(lattice.dot(e, g) == 0 for e in eqns for g in gens)
+        assert lattice.rational_rank(eqns) == n - k
+        if k == n and abs(lattice.det(gens)) == 1:
+            assert ineqs == lattice.dual_basis(gens)
+
+    def test_zero_cone(self):
+        assert cone.halfspace_description((), 3) == ((), lattice.identity(3))
+
+    def test_more_generators_than_dimensions(self):
+        with pytest.raises(DependentGenerators):
+            cone.halfspace_description([(1, 0), (0, 1), (1, 1)], 2)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,10 +16,17 @@ from corpus import (
     subdivision_iterates,
 )
 from oracles import brute_validate
+from toricfan import cone as cone_module
 from toricfan import fan as fan_module
 from toricfan import lattice
 from toricfan.cone import halfspace_description, intersect_generators
-from toricfan.errors import DegenerateSubdivision, MalformedInput, NotMaximal, NotUnimodular
+from toricfan.errors import (
+    DegenerateSubdivision,
+    DependentGenerators,
+    MalformedInput,
+    NotMaximal,
+    NotUnimodular,
+)
 from toricfan.fan import (
     FacetReport,
     SimplicialComplex,
@@ -913,3 +921,70 @@ class TestRelativeInteriorsDisjoint:
                 hits = [c for c in f.cones
                         if relative_interior_contains(f.cone(c), v)]
                 assert len(hits) == 1  # complete fan: relints partition R^n
+
+
+def lower_dimensional_fans():
+    """Fans with maximal cones that have no chart: lower-dimensional or
+    not unimodular, so membership goes through their descriptions."""
+    return [
+        make_fan([(1, 0)], [(0,)]),
+        make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (2,)]),
+        make_fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                 [(0, 1, 2), (1, 3), (2, 3)]),
+        make_fan([(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+    ]
+
+
+def exact_kernel_results():
+    """Results of the library's exact paths on fresh fans and cones."""
+    rng = random.Random(41)
+    out = []
+    dependent = make_fan([(1, 0), (-1, 0), (0, 1)], [(0, 1, 2)])
+    for f in invalid_fans() + lower_dimensional_fans() + [dependent]:
+        out.append(validate(f))
+    for f in incomplete_fans() + lower_dimensional_fans():
+        n = f.ambient_dim
+        vectors = [(0,) * n] + list(f.rays)
+        vectors += [tuple(map(sum, zip(*f.generators(c)))) for c in f.maximal_cones]
+        vectors += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(30)]
+        vectors += [tuple(Fraction(x, 3) for x in r) for r in f.rays]
+        out.append([support_contains(f, v) for v in vectors])
+        out.append(is_complete_raycast(f, 2000))
+    tables = [cone_module.make_table([(1, 0, 0), (0, 1, 0), (1, 1, 2), (-1, -1, 0), (2, 1, 0)]),
+              cone_module.make_table([(1, 0), (0, 1), (-1, 0), (1, 2)])]
+    for t in tables:
+        cones = []
+        for k in range(t.dim + 2):
+            for idx in combinations(range(len(t)), k):
+                try:
+                    cones.append(cone_module.make_cone(t, idx))
+                    out.append(idx)
+                except (NotUnimodular, DependentGenerators) as e:
+                    out.append((idx, type(e).__name__, str(e)))
+        for c in cones:
+            points = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(t.dim))
+                      for _ in range(10)]
+            for v in points + list(c.generators):
+                out.append((cone_module.contains(c, v),
+                            cone_module.relative_interior_contains(c, v)))
+        for c, d in combinations(cones, 2):
+            out.append(cone_module.intersect(c, d))
+    return out
+
+
+class TestIntegerKernelOnly:
+    def test_same_results_without_the_rational_eliminations(self, monkeypatch):
+        """No module of the package but lattice calls rational_rank,
+        solve_combination or rational_kernel: with them raising, every
+        exact path returns what it returns with them."""
+        expected = exact_kernel_results()
+
+        def forbidden(*args):
+            raise AssertionError("rational elimination called")
+
+        for name, module in list(sys.modules.items()):
+            if name == "toricfan" or name.startswith("toricfan."):
+                for fn in ("rational_rank", "solve_combination", "rational_kernel"):
+                    if hasattr(module, fn):
+                        monkeypatch.setattr(module, fn, forbidden)
+        assert exact_kernel_results() == expected
