@@ -49,7 +49,7 @@ def _fmt_vec(v) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
 
-def _read_fan(path, out):
+def _read_fan(path):
     with open(path, "r", encoding="utf-8") as handle:
         fan, warnings = parse_fan(handle.read())
     for w in warnings:
@@ -118,7 +118,7 @@ class Output:
 
 def cmd_validate(args) -> int:
     out = Output(args.format == "machine")
-    fan = _read_fan(args.fan, out)
+    fan = _read_fan(args.fan)
     report = validate(fan)
     out.both("ok", str(report.ok).lower(), text=str(report))
     for v in report.violations:
@@ -132,7 +132,7 @@ def cmd_complete(args) -> int:
     if args.oracle != "facet" and args.samples < 1:
         raise BadParam(f"--samples must be at least 1, got {args.samples}")
     out = Output(args.format == "machine")
-    fan = _read_fan(args.fan, out)
+    fan = _read_fan(args.fan)
     if not _require_valid(fan, out):
         out.record("ok", "invalid-fan")
         return 1
@@ -159,7 +159,7 @@ def cmd_complete(args) -> int:
 
 def cmd_weights(args) -> int:
     out = Output(False)
-    fan = _read_fan(args.fan, out)
+    fan = _read_fan(args.fan)
     if not _require_valid(fan, out):
         return 1
     data = toric.weight_data_from_fan(fan)
@@ -177,7 +177,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_quotient(args) -> int:
     out = Output(args.format == "machine")
-    fan = _read_fan(args.fan, out)
+    fan = _read_fan(args.fan)
     if not _require_valid(fan, out):
         return 1
     pres = toric.quotient_presentation(fan)
@@ -202,7 +202,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_atlas(args) -> int:
     out = Output(args.format == "machine")
-    fan = _read_fan(args.fan, out)
+    fan = _read_fan(args.fan)
     if not _require_valid(fan, out):
         return 1
     charts = toric.fixed_points(fan)
@@ -233,7 +233,7 @@ def cmd_limit(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise BadParam(f"--tol must be a positive finite number, got {args.tol}")
     out = Output(args.format == "machine")
-    fan = _read_fan(args.fan, out)
+    fan = _read_fan(args.fan)
     if not _require_valid(fan, out):
         return 1
     xi = _parse_rationals(args.xi)

@@ -1,20 +1,22 @@
 """Fans of unimodular cones.
 
-A fan is stored as a ray table plus the index sets of its maximal cones
-and a map from each ray to the maximal cones holding it.  A set of rays
-is a cone of the fan when some maximal cone holds all of them, so the
-face closure (2^k faces of a cone of k rays) is built only when asked
-for, by Fan.cones and sigma.  Each cone's facet description is computed
-once and cached on the fan for every layer to read; the charts of the
-maximal cones come from a walk across their walls.  Axiom checking, the
-facet-pairing completeness criterion, the ray-casting completeness
-oracle, and star subdivision all live here.
+A fan is stored as a ray table plus its simplicial complex Sigma
+(SimplicialComplex), the one store of its combinatorics: the maximal
+cones and a map from each ray to the maximal cones holding it.  A set
+of rays is a cone of the fan when some maximal cone holds all of them,
+so the face closure (2^k faces of a cone of k rays) is built only when
+Fan.cones or Sigma's faces are read.  Each cone's facet description is
+computed once and cached on the fan for every layer to read; the charts
+of the maximal cones come from a walk across their walls.  Axiom
+checking, the facet-pairing completeness criterion, the ray-casting
+completeness oracle, and star subdivision all live here.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, count
 from operator import mul
 
@@ -40,14 +42,13 @@ _MISSING = object()  # cache-miss marker; a cached chart may be None
 
 
 class Fan:
-    """Immutable fan: ray table, maximal cones, ray-to-cone incidence.
+    """Immutable fan: ray table and simplicial complex (see sigma).
 
-    Construction normalizes the listed cones (sorts, deduplicates, absorbs
-    subsets) and rejects structurally broken input.  It finds the cones
-    that absorb a shorter one through the incidence map, and builds no
-    face closure (see `cones`).  It does not check the fan axioms
-    themselves -- that is validate()'s job, so that invalid fans can be
-    represented and reported on.
+    Construction rejects structurally broken input and builds the
+    complex once, which normalizes the listed cones (sorts, deduplicates,
+    absorbs subsets) and builds no face closure (see `cones`).  It does
+    not check the fan axioms themselves -- that is validate()'s job, so
+    that invalid fans can be represented and reported on.
     """
 
     def __init__(self, table: RayTable, maximal_cones):
@@ -59,33 +60,14 @@ class Fan:
             if idx and (idx[0] < 0 or idx[-1] >= len(table)):
                 raise MalformedInput(f"ray index out of range in cone {raw}")
             cones.append(idx)
-        if not cones:
-            cones = [()]
-        # keep only inclusion-maximal index sets: scanning longest first, a
-        # cone is dropped when some kept (so longer) cone holds all its rays
-        cones = sorted(set(cones), key=len, reverse=True)
-        longest = len(cones[0])
-        maximal = []
-        incidence: dict[int, set[int]] = {}
-        for c in cones:
-            if len(c) < longest and _holding(incidence, c):
-                continue
-            for i in c:
-                incidence.setdefault(i, set()).add(len(maximal))
-            maximal.append(c)
-        if len(incidence) != len(table):
-            missing = sorted(set(range(len(table))) - incidence.keys())
+        sigma = SimplicialComplex(len(table), cones)
+        if len(sigma._incidence) != len(table):
+            missing = sorted(set(range(len(table))) - sigma._incidence.keys())
             raise MalformedInput(f"rays {missing} appear in no maximal cone")
         self._table = table
-        self._maximal = tuple(sorted(maximal))
-        self._maximal_set = frozenset(maximal)
-        self._incidence = incidence
-        self._closure: frozenset[IndexSet] | None = None
+        self._sigma = sigma
         self._weight_cache: dict[IndexSet, tuple | None] = {}
         self._description_cache: dict[IndexSet, tuple] = {}
-        self._facet_map: dict[IndexSet, tuple[IndexSet, ...]] | None = None
-        self._charts: dict[IndexSet, tuple | None] | None = None
-        self._facet_verdict: tuple[bool, FacetReport] | None = None
 
     @property
     def table(self) -> RayTable:
@@ -105,25 +87,22 @@ class Fan:
 
     @property
     def maximal_cones(self) -> tuple[IndexSet, ...]:
-        return self._maximal
+        return self._sigma.maximal_faces
 
     def is_maximal(self, indices: IndexSet) -> bool:
-        """Is the sorted index set one of the maximal cones?  O(1)."""
-        return indices in self._maximal_set
+        """Is the sorted index set one of the maximal cones?  O(1): a
+        maximal cone is in the incidence set of each of its rays."""
+        if not indices:
+            return self.maximal_cones == ((),)
+        return indices in self._sigma._incidence.get(indices[0], ())
 
     @property
     def cones(self) -> frozenset[IndexSet]:
         """Face closure: every cone of the fan as a sorted index set, all
         2^k faces of each maximal cone of k rays; built on first use."""
-        if self._closure is None:
-            closure = set()
-            for c in self._maximal:
-                for k in range(len(c) + 1):
-                    closure.update(combinations(c, k))
-            self._closure = frozenset(closure)
-        return self._closure
+        return self._sigma.faces
 
-    @property
+    @cached_property
     def facet_map(self) -> dict[IndexSet, tuple[IndexSet, ...]]:
         """Each codimension-one cone mapped to the full-dimensional maximal
         cones containing it (possibly none), in ascending order; built on
@@ -134,20 +113,18 @@ class Fan:
         of the other maximal cones are keys too, so the keys are exactly
         the (n-1)-cones of the face closure.
         """
-        if self._facet_map is None:
-            n = self.ambient_dim
-            incidence: dict[IndexSet, list[IndexSet]] = {}
-            for c in self._maximal:
-                if len(c) == n:
-                    for i in range(n):
-                        incidence.setdefault(c[:i] + c[i + 1:], []).append(c)
-                elif len(c) >= n - 1:
-                    for facet in combinations(c, n - 1):
-                        incidence.setdefault(facet, [])
-            self._facet_map = {k: tuple(v) for k, v in incidence.items()}
-        return self._facet_map
+        n = self.ambient_dim
+        incidence: dict[IndexSet, list[IndexSet]] = {}
+        for c in self.maximal_cones:
+            if len(c) == n:
+                for i in range(n):
+                    incidence.setdefault(c[:i] + c[i + 1:], []).append(c)
+            elif len(c) >= n - 1:
+                for facet in combinations(c, n - 1):
+                    incidence.setdefault(facet, [])
+        return {k: tuple(v) for k, v in incidence.items()}
 
-    @property
+    @cached_property
     def charts(self) -> dict[IndexSet, tuple | None]:
         """Each maximal cone, in order, mapped to its chart_weights (None
         for a cone without a chart); built on first use, so loops over
@@ -163,38 +140,47 @@ class Fan:
         fan costs one HNF.  Entries already in the chart_weights cache are
         read, not redone.
         """
-        if self._charts is None:
-            cache = self._weight_cache
-            walls = self.facet_map
-            rays = self._table.rays
-            walked = set()
-            for seed in self._maximal:
-                if seed in walked or self.chart_weights(seed) is None:
-                    continue
-                walked.add(seed)
-                stack = [seed]
-                while stack:
-                    c = stack.pop()
-                    rows = cache[c]
-                    for i in range(len(c)):
-                        wall = c[:i] + c[i + 1:]
-                        for d in walls[wall]:
-                            if d in walked:
-                                continue
-                            if d not in cache:
-                                p = _outside(d, wall)
-                                cache[d] = _cross_wall(rows, i, rays[d[p]], p)
-                            if cache[d] is not None:
-                                walked.add(d)
-                                stack.append(d)
-            self._charts = {c: cache[c] for c in self._maximal}
-        return self._charts
+        cache = self._weight_cache
+        walls = self.facet_map
+        rays = self._table.rays
+        walked = set()
+        for seed in self.maximal_cones:
+            if seed in walked or self.chart_weights(seed) is None:
+                continue
+            walked.add(seed)
+            stack = [seed]
+            while stack:
+                c = stack.pop()
+                rows = cache[c]
+                for i in range(len(c)):
+                    wall = c[:i] + c[i + 1:]
+                    for d in walls[wall]:
+                        if d in walked:
+                            continue
+                        if d not in cache:
+                            p = _outside(d, wall)
+                            cache[d] = _cross_wall(rows, i, rays[d[p]], p)
+                        if cache[d] is not None:
+                            walked.add(d)
+                            stack.append(d)
+        return {c: cache[c] for c in self.maximal_cones}
+
+    @cached_property
+    def _facet_verdict(self) -> tuple[bool, FacetReport]:
+        """is_complete_facet's verdict and report, computed once."""
+        n = self.ambient_dim
+        top = any(len(c) == n for c in self.maximal_cones)
+        undominated = tuple(c for c in self.maximal_cones if len(c) < n)
+        pure = not undominated
+        counts = tuple(sorted((facet, len(cs)) for facet, cs in self.facet_map.items()))
+        complete = top and pure and all(k == 2 for _, k in counts)
+        return complete, FacetReport(complete, pure, counts, undominated)
 
     def cone(self, indices) -> Cone:
         """The cone over `indices`, which must be a face of some maximal
         cone (MalformedInput otherwise)."""
         idx = tuple(sorted(indices))
-        if len(set(idx)) != len(idx) or not _holding(self._incidence, idx):
+        if idx not in self._sigma:
             raise MalformedInput(f"{set(indices) if indices else '{}'} is not a cone of this fan")
         return Cone(self._table, idx)
 
@@ -257,7 +243,7 @@ class Fan:
 
     def __repr__(self):
         return (f"Fan(dim={self.ambient_dim}, rays={self.ray_count}, "
-                f"maximal={len(self._maximal)})")
+                f"maximal={len(self.maximal_cones)})")
 
 
 def make_fan(rays, maximal_cones, dim=None) -> Fan:
@@ -363,10 +349,10 @@ def _wall_certificate(f: Fan) -> bool:
             return inside == 1
 
 
-def _holding(incidence: dict[int, set[int]], c: IndexSet) -> bool:
-    """Does some maximal cone hold every ray of c?  `incidence` maps each
-    ray to the maximal cones holding it, by number.  Every fan has a
-    maximal cone, so the empty cone is always held."""
+def _holding(incidence: dict[int, set[IndexSet]], c: IndexSet) -> bool:
+    """Does some maximal face hold every vertex of c?  `incidence` maps
+    each vertex to the maximal faces holding it.  Every complex has a
+    maximal face, so the empty face is always held."""
     if not c:
         return True
     try:
@@ -471,37 +457,53 @@ def _separated(f: Fan, c: IndexSet, d: IndexSet, shared: set) -> bool:
     return all(lattice.dot(a, f.rays[j]) < 0 for j in d if j not in shared)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimplicialComplex:
-    """Subset-closed family of index sets on vertices 0..m-1."""
+    """The simplicial complex on vertices 0..m-1 whose faces are the
+    subsets of the sets in `family` (sorted tuples; none gives {()}).
+
+    It keeps only its maximal faces, found once by scanning the family
+    longest first and dropping a set when the incidence sets of its
+    vertices meet (a kept, longer set holds it), and that incidence map
+    from each vertex to the maximal faces holding it.  Equal maximal faces
+    mean equal face closures, so equality compares only those.
+    """
 
     vertex_count: int
-    faces: frozenset[IndexSet]
+    maximal_faces: tuple[IndexSet, ...]
+    _incidence: dict[int, set[IndexSet]] = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if () not in self.faces:
-            raise MalformedInput("a simplicial complex contains the empty face")
+    def __init__(self, vertex_count: int, family):
+        family = sorted(set(family) or {()}, key=len, reverse=True)
+        longest = len(family[0])
+        maximal = []
+        incidence: dict[int, set[IndexSet]] = {}
+        for c in family:
+            if len(c) < longest and _holding(incidence, c):
+                continue
+            for i in c:
+                incidence.setdefault(i, set()).add(c)
+            maximal.append(c)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "maximal_faces", tuple(sorted(maximal)))
+        object.__setattr__(self, "_incidence", incidence)
 
-    @property
-    def maximal_faces(self) -> tuple[IndexSet, ...]:
-        """Faces lying strictly inside no other face.
+    def __contains__(self, face) -> bool:
+        """Are the vertices of `face` distinct and all in one maximal face?"""
+        return len(set(face)) == len(face) and _holding(self._incidence, face)
 
-        A face strictly inside another lies strictly inside a maximal one,
-        which is longer; so scanning longest first, each face needs
-        comparing only with the maximal faces kept so far.
-        """
-        kept: list[tuple[frozenset, IndexSet]] = []
-        for c in sorted(self.faces, key=len, reverse=True):
-            s = frozenset(c)
-            if not any(s < k for k, _ in kept):
-                kept.append((s, c))
-        return tuple(sorted(c for _, c in kept))
+    @cached_property
+    def faces(self) -> frozenset[IndexSet]:
+        """Every face as a sorted index set, all 2^k subsets of each
+        maximal face of k vertices; built on first read."""
+        return frozenset(s for c in self.maximal_faces
+                         for k in range(len(c) + 1) for s in combinations(c, k))
 
 
 def sigma(f: Fan) -> SimplicialComplex:
     """The abstract simplicial complex of the fan: I is a face iff the rays
-    indexed by I span a cone."""
-    return SimplicialComplex(f.ray_count, f.cones)
+    indexed by I span a cone.  The fan's own store of its cones, so O(1)."""
+    return f._sigma
 
 
 def support_contains(f: Fan, v):
@@ -561,14 +563,6 @@ def is_complete_facet(f: Fan) -> tuple[bool, FacetReport]:
     two full-dimensional cones.  The counts come from `Fan.facet_map`, and
     the verdict is computed once per fan.
     """
-    if f._facet_verdict is None:
-        n = f.ambient_dim
-        top = any(len(c) == n for c in f.maximal_cones)
-        undominated = tuple(c for c in f.maximal_cones if len(c) < n)
-        pure = not undominated
-        counts = tuple(sorted((facet, len(cs)) for facet, cs in f.facet_map.items()))
-        complete = top and pure and all(k == 2 for _, k in counts)
-        f._facet_verdict = complete, FacetReport(complete, pure, counts, undominated)
     return f._facet_verdict
 
 

@@ -354,7 +354,9 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
             if mod >= threshold:
                 t_event = 0.0
                 break
-            t_cross = math.log(threshold / mod) / (TWO_PI * abs(u))
+            q = threshold / mod  # inf when mod < threshold / DBL_MAX
+            log_q = math.log(q) if q != math.inf else math.log(threshold) - math.log(mod)
+            t_cross = log_q / (TWO_PI * abs(u))
             if t_event is None or t_cross < t_event:
                 t_event = t_cross
         remaining = abs(r_final - r)

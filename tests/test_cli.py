@@ -240,6 +240,18 @@ class TestLimit:
     def test_finite_parameters_accepted(self, cp2_file):
         assert main(["limit", cp2_file, "--xi=1,-1", "--r=-12.5", "--tol=1e-3"]) == 0
 
+    def test_growing_coordinate_below_threshold_over_dbl_max(self, tmp_path, capsys):
+        # threshold / 1e-310 overflows to inf; the crossing time must stay
+        # finite, or the tracker runs the whole horizon and prints nan
+        fan_path = tmp_path / "h1.fan"
+        assert main(["lib", "hirzebruch", "1", "-o", str(fan_path)]) == 0
+        code = main(["limit", str(fan_path), "--xi=-1,-3000", "--chart", "1,2",
+                     "--start", "1e-310,1e-200", "--r", "-100"])
+        out, err = capsys.readouterr()
+        assert "nan" not in out
+        assert "NonFiniteState: no chart can represent the trajectory point" in err
+        assert code == 1
+
     def test_trajectory_tracks_once(self, tmp_path, monkeypatch, capsys):
         fan_path = tmp_path / "h1.fan"
         assert main(["lib", "subdivided", "hirzebruch", "1", "--cone", "0,1",

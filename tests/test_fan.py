@@ -1,7 +1,7 @@
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,7 +42,7 @@ from toricfan.fan import (
     validate,
 )
 from toricfan.library import cp1, cpn, hirzebruch, quadrant
-from toricfan.toric import weight_data_from_fan
+from toricfan.toric import quotient_presentation, weight_data_from_fan
 
 CP2 = cpn(2)
 
@@ -519,7 +519,7 @@ class TestNoMaterializedClosure:
 
     def test_closure_built_on_first_use(self):
         f = cpn(3)
-        assert f._closure is None
+        assert "faces" not in vars(sigma(f))
         assert f.cones is f.cones
         assert len(f.cones) == 2 ** 4 - 1
         assert sigma(f).faces is f.cones
@@ -529,7 +529,7 @@ class TestNoMaterializedClosure:
         assert validate(f).ok
         assert is_complete_facet(f)[0]
         assert len(weight_data_from_fan(f).bases) == 17
-        assert f._closure is None
+        assert "faces" not in vars(sigma(f))
 
 
 class TestSigma:
@@ -584,6 +584,51 @@ class TestMaximalFaces:
         for faces in families:
             s = SimplicialComplex(6, faces)
             assert s.maximal_faces == brute_maximal_faces(faces)
+
+
+def closure_of(family):
+    return {()} | {sub for c in family for k in range(len(c) + 1) for sub in combinations(c, k)}
+
+
+class TestSimplicialComplex:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.sets(st.integers(0, 5), max_size=6).map(lambda s: tuple(sorted(s))),
+                    max_size=10))
+    def test_matches_brute_force_on_any_family(self, family):
+        s = SimplicialComplex(6, family)
+        faces = closure_of(family)
+        assert s.faces == faces
+        assert s.maximal_faces == brute_maximal_faces(faces)
+        assert s.maximal_faces == brute_maximal(family or [()])
+        for k in range(4):
+            for c in product(range(-1, 7), repeat=k):
+                distinct = len(set(c)) == len(c)
+                assert (c in s) == (distinct and tuple(sorted(c)) in faces), c
+        closed = SimplicialComplex(6, faces)
+        assert closed == s and hash(closed) == hash(s)
+        assert closed.faces == s.faces
+
+    def test_one_instance_serves_the_fan(self):
+        f = cpn(16)
+        s = sigma(f)
+        assert sigma(f) is s
+        assert f.maximal_cones is s.maximal_faces
+        assert quotient_presentation(f).allowed_zero_sets is s
+        assert "faces" not in vars(s)
+        assert f.cone((0, 1)).indices == (0, 1)
+
+    def test_is_maximal_on_every_face(self):
+        fans = list(complete_builtins().values()) + subdivision_iterates()[:4]
+        fans += incomplete_fans() + invalid_fans() + [make_fan([], [], dim=2)]
+        for f in fans:
+            maximal = set(f.maximal_cones)
+            for c in f.cones:
+                assert f.is_maximal(c) == (c in maximal), (f, c)
+                if len(c) > 1:
+                    assert not f.is_maximal(c[::-1])
+
+    def test_differs_by_vertex_count(self):
+        assert SimplicialComplex(3, [(0, 1)]) != SimplicialComplex(4, [(0, 1)])
 
 
 class TestSupportContains:

@@ -321,7 +321,7 @@ def reference_track(f, start, d, r_final):
             if mod >= threshold:
                 t_event = 0.0
                 break
-            t_cross = math.log(threshold / mod) / (flow.TWO_PI * abs(float(u)))
+            t_cross = (math.log(threshold / mod) if threshold / mod != math.inf else math.log(threshold) - math.log(mod)) / (flow.TWO_PI * abs(float(u)))
             if t_event is None or t_cross < t_event:
                 t_event = t_cross
         remaining = abs(r_final - r)
