@@ -28,6 +28,7 @@ from .flow import (
     integrate,
     limit_report,
     limit_stratum,
+    limit_verdict,
     track,
     verify_limit,
 )

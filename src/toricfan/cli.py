@@ -256,7 +256,7 @@ def cmd_limit(args) -> int:
     start = flow.chart_point(chart, coords)
     d = flow.direction(xi)
     segments = flow.track(fan, start, d, args.r)
-    report = flow.limit_report(stratum, segments, args.tol)
+    report = flow.limit_verdict(fan, stratum, segments, args.tol)
     out.both("stratum", _fmt_cone(report.predicted_stratum),
              text=f"limit stratum: {{{_fmt_cone(report.predicted_stratum)}}}")
     pt = report.numeric_limit

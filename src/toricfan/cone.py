@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 from operator import mul
 
 from . import lattice
@@ -31,9 +32,10 @@ class RayTable:
         for r in self.rays:
             if len(r) != self.dim:
                 raise MalformedInput(f"ray {r} has length {len(r)}, expected {self.dim}")
-            if all(x == 0 for x in r):
+            g = gcd(*r)
+            if g == 0:
                 raise MalformedInput("the zero vector cannot be a ray")
-            if lattice.primitive(r) != r:
+            if g != 1:
                 raise MalformedInput(f"ray {r} is not primitive")
         if len(set(self.rays)) != len(self.rays):
             raise MalformedInput("duplicate rays in table")

@@ -181,7 +181,7 @@ class Fan:
         cone (MalformedInput otherwise)."""
         idx = tuple(sorted(indices))
         if idx not in self._sigma:
-            raise MalformedInput(f"{set(indices) if indices else '{}'} is not a cone of this fan")
+            raise MalformedInput(f"{set(idx) if idx else '{}'} is not a cone of this fan")
         return Cone(self._table, idx)
 
     def generators(self, indices) -> tuple:
@@ -696,7 +696,7 @@ def star_subdivide(f: Fan, cone_indices) -> Fan:
     the new ray at the (primitive) sum of its generators."""
     c = tuple(sorted(cone_indices))
     if c not in f.maximal_cones:
-        raise NotMaximal(f"{set(cone_indices) if cone_indices else '{}'} is not a maximal cone")
+        raise NotMaximal(f"{set(c) if c else '{}'} is not a maximal cone")
     if len(c) < 2:
         raise DegenerateSubdivision(
             "star subdivision needs a cone with at least two generators"

@@ -32,7 +32,7 @@ from .errors import (
     ZeroCoordinateStart,
 )
 from .fan import Fan, IndexSet, is_complete_facet, support_contains
-from .toric import WeightBasis, isotropy_weights, transition, weight_matrix
+from .toric import WeightBasis, fixed_points, isotropy_weights, transition, weight_matrix
 
 TWO_PI = 2.0 * math.pi
 # chart-switch trigger: a coordinate modulus exceeding 1 + POLYDISC_MARGIN
@@ -388,26 +388,60 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
 def verify_limit(f: Fan, xi, start: ChartPoint, tol: float = DEFAULT_TOL,
                  r_final: float = R_AT_INFINITY) -> LimitReport:
     """Numerically confirm the limit classification of a direction: track
-    the flow of xi to r_final and judge the end with limit_report."""
+    the flow of xi to r_final and judge the end with limit_verdict."""
     stratum = limit_stratum(f, xi)
     segments = track(f, start, direction(xi), r_final)
-    return limit_report(stratum, segments, tol)
+    return limit_verdict(f, stratum, segments, tol)
+
+
+def limit_verdict(f: Fan, stratum, segments, tol: float = DEFAULT_TOL) -> LimitReport:
+    """The verdict on tracked segments: limit_report, judged in a chart
+    that holds the predicted stratum.
+
+    A final chart that misses the stratum has no coordinates dual to some
+    of its rays, so its pattern says nothing about them.  Then the end
+    point is mapped by one transition into each full-dimensional cone
+    holding the stratum and judged there, and the cone with the smallest
+    residual is reported (the first in order on a tie).  A cone whose map
+    divides by zero or overflows is skipped; when every one is, the end
+    is reported in its own chart, not converged, with an infinite
+    residual.
+    """
+    last = segments[-1]
+    inside = set(stratum)
+    if inside <= set(last.chart):
+        return limit_report(stratum, segments, tol)
+    best = None
+    for sigma in fixed_points(f):
+        if inside <= set(sigma):
+            to_sigma = transition(f, last.chart, sigma)
+            try:
+                coords = to_sigma.apply(last.end)
+            except (ZeroDivisionError, OverflowError):
+                continue
+            report = _judge(stratum, ChartPoint(sigma, coords), tol)
+            if best is None or report.residual < best.residual:
+                best = report
+    return best or LimitReport(stratum, last.endpoint, math.inf, False)
 
 
 def limit_report(stratum, segments, tol: float = DEFAULT_TOL) -> LimitReport:
     """Check the coordinate pattern at the end of tracked segments against
-    a predicted stratum.
+    a predicted stratum, in the final chart (see _judge).  limit_verdict
+    judges in a chart that holds the stratum."""
+    return _judge(stratum, segments[-1].endpoint, tol)
 
-    Coordinates of the final chart dual to the rays of the stratum must
-    be below tol in modulus, all others bounded away from zero.  The
+
+def _judge(stratum, point: ChartPoint, tol: float) -> LimitReport:
+    """Coordinates of the point's chart dual to the rays of the stratum
+    must be below tol in modulus, all others bounded away from zero.  The
     residual is the largest must-vanish modulus, or infinity when some
     must-survive coordinate dropped below tol or any coordinate is not
     finite.
     """
-    last = segments[-1]
     inside = set(stratum)
     residual = 0.0
-    for ray, coord in zip(last.chart, last.end):
+    for ray, coord in zip(point.chart, point.coords):
         if not cmath.isfinite(coord):
             residual = math.inf
         elif ray in inside:
@@ -416,7 +450,7 @@ def limit_report(stratum, segments, tol: float = DEFAULT_TOL) -> LimitReport:
             residual = math.inf
     return LimitReport(
         predicted_stratum=stratum,
-        numeric_limit=last.endpoint,
+        numeric_limit=point,
         residual=residual,
         converged=residual <= tol,
     )

@@ -9,22 +9,20 @@ not be primitive or tidy: rays are normalized with a warning.
 from __future__ import annotations
 
 import json
+from math import gcd
 
-from . import lattice
-from .errors import MalformedInput, ZeroVector
+from .errors import MalformedInput
 from .fan import Fan, make_fan
 from .toric import WeightBasis, WeightData
 
 
 def _int_vector(obj, what):
-    if not isinstance(obj, list) or not obj:
+    if type(obj) is not list or not obj:
         raise MalformedInput(f"{what} must be a nonempty list of integers")
-    out = []
     for x in obj:
-        if isinstance(x, bool) or not isinstance(x, int):
+        if type(x) is not int:  # json gives no int subclass but bool
             raise MalformedInput(f"{what} must contain integers, got {x!r}")
-        out.append(x)
-    return tuple(out)
+    return tuple(obj)
 
 
 def _document(text, what):
@@ -58,33 +56,44 @@ def parse_fan(text) -> tuple[Fan, list[str]]:
         ray = _int_vector(raw, f"ray {k}")
         if len(ray) != dim:
             raise MalformedInput(f"ray {k} has length {len(ray)}, expected {dim}")
-        try:
-            prim = lattice.primitive(ray)
-        except ZeroVector:
-            raise MalformedInput(f"ray {k} is the zero vector") from None
-        if prim != ray:
-            warnings.append(f"ray {k} {list(ray)} normalized to {list(prim)}")
-        rays.append(prim)
+        g = gcd(*ray)
+        if g == 0:
+            raise MalformedInput(f"ray {k} is the zero vector")
+        if g != 1:
+            prim = tuple(x // g for x in ray)
+            warnings.append(f"ray {k} {raw} normalized to {list(prim)}")
+            ray = prim
+        rays.append(ray)
     cones = []
     for k, raw in enumerate(cones_field):
-        if not isinstance(raw, list):
+        if type(raw) is not list:
             raise MalformedInput(f"maximal cone {k} must be a list of ray indices")
-        cone = []
         for x in raw:
-            if isinstance(x, bool) or not isinstance(x, int):
+            if type(x) is not int:
                 raise MalformedInput(f"maximal cone {k} must contain integers")
-            cone.append(x)
-        cones.append(tuple(cone))
+        cones.append(tuple(raw))
     return make_fan(rays, cones, dim=dim), warnings
 
 
+def _int_lists(rows, indent: int) -> str:
+    """The text json.dumps(rows, indent=2) gives a list of integer lists
+    whose opening bracket sits in a line indented by `indent` spaces."""
+    if not rows:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    entry = "," + pad + "  "
+    opening = "[" + pad + "  "
+    closing = pad + "]"
+    items = [opening + entry.join(map(str, row)) + closing if row else "[]" for row in rows]
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
 def dump_fan(f: Fan) -> str:
-    doc = {
-        "dim": f.ambient_dim,
-        "rays": [list(r) for r in f.rays],
-        "maximal_cones": [list(c) for c in f.maximal_cones],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The fan document as json.dumps(doc, indent=2) writes it, plus a
+    newline; written directly, since json runs its pure-Python encoder
+    whenever indent is set."""
+    return (f'{{\n  "dim": {f.ambient_dim},\n  "rays": {_int_lists(f.rays, 2)},'
+            f'\n  "maximal_cones": {_int_lists(f.maximal_cones, 2)}\n}}\n')
 
 
 def parse_weight_data(text) -> WeightData:
@@ -116,11 +125,12 @@ def parse_weight_data(text) -> WeightData:
 
 
 def dump_weight_data(data: WeightData) -> str:
-    doc = {
-        "dim": data.dim,
-        "fixed_points": [
-            {"id": b.fixed_point_id, "weights": [list(row) for row in b.weights]}
-            for b in data.bases
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The weight document as json.dumps(doc, indent=2) writes it, plus a
+    newline; written directly as dump_fan is, with each id escaped by
+    json.dumps."""
+    records = ",\n".join(
+        f'    {{\n      "id": {json.dumps(b.fixed_point_id)},'
+        f'\n      "weights": {_int_lists(b.weights, 6)}\n    }}'
+        for b in data.bases
+    )
+    return f'{{\n  "dim": {data.dim},\n  "fixed_points": [\n{records}\n  ]\n}}\n'

@@ -11,7 +11,7 @@ from corpus import complete_builtins, subdivision_iterates
 from toricfan import cli, flow, lattice, toric
 from toricfan.cli import build_parser, main
 from toricfan.fan import fans_equal
-from toricfan.formats import dump_fan, parse_fan
+from toricfan.formats import dump_fan, dump_weight_data, parse_fan
 from toricfan.library import cpn
 
 
@@ -372,3 +372,46 @@ def test_python_m_runs_the_cli():
     assert done.returncode == 0, done.stderr
     f, _ = parse_fan(done.stdout)
     assert fans_equal(f, cpn(2))
+
+
+HASH_SEED_DRIVER = """
+import contextlib, io, json, sys
+from toricfan.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    written = open(argv[argv.index("-o") + 1]).read() if "-o" in argv else None
+    results.append([argv[0], code, out.getvalue(), err.getvalue(), written])
+print(json.dumps(results))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Every byte that weights, reconstruct, quotient, validate and the
+    facet test write is the same under two string-hash seeds, on cpn(10)
+    and on a cp3 subdivision chain."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toricfan.__file__)))
+    chain = subdivision_iterates(rounds=10, bases=("cp3",))[-1]
+    argvs = []
+    for name, f in [("cp10", cpn(10)), ("cp3-chain-10", chain)]:
+        fan_path = tmp_path / f"{name}.fan"
+        fan_path.write_text(dump_fan(f))
+        weights_path = tmp_path / f"{name}.weights"
+        weights_path.write_text(dump_weight_data(toric.weight_data_from_fan(f)))
+        out = str(tmp_path / f"{name}.out")
+        argvs += [["weights", str(fan_path), "-o", out],
+                  ["reconstruct", str(weights_path), "-o", out],
+                  ["quotient", str(fan_path), "--format", "machine"],
+                  ["validate", str(fan_path), "--format", "machine"],
+                  ["complete", str(fan_path), "--oracle", "facet", "--format", "machine"]]
+    runs = []
+    for seed in ("0", "1"):
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_DRIVER, json.dumps(argvs)],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert [code for _, code, *_ in runs[0]] == [0] * len(argvs)
+    assert runs[0] == runs[1]

@@ -517,6 +517,12 @@ class TestNoMaterializedClosure:
                     with pytest.raises(MalformedInput):
                         f.cone(c)
 
+    def test_iterator_argument_named_in_the_message(self):
+        with pytest.raises(MalformedInput, match=r"^\{0\} is not a cone of this fan$"):
+            cpn(2).cone(iter([0, 0]))
+        with pytest.raises(MalformedInput, match=r"^\{0, 1, 2\} is not a cone"):
+            cpn(2).cone(reversed((0, 1, 2)))
+
     def test_closure_built_on_first_use(self):
         f = cpn(3)
         assert "faces" not in vars(sigma(f))
@@ -944,6 +950,10 @@ class TestStarSubdivide:
     def test_requires_maximal_cone(self):
         with pytest.raises(NotMaximal):
             star_subdivide(CP2, (0,))
+
+    def test_iterator_argument_named_in_the_message(self):
+        with pytest.raises(NotMaximal, match=r"^\{0\} is not a maximal cone$"):
+            star_subdivide(CP2, iter([0]))
 
     def test_preserves_validity_and_completeness(self):
         for f in subdivision_iterates(seed=2):

@@ -361,17 +361,37 @@ def reference_track(f, start, d, r_final):
 
 
 def reference_verify(f, xi, start, tol=flow.DEFAULT_TOL, r_final=flow.R_AT_INFINITY):
+    """Judges the tracked end in its final chart when that chart holds
+    the stratum; otherwise maps it by one transition into each
+    full-dimensional cone holding the stratum and keeps the first with the
+    smallest residual (infinite residual when no map is finite)."""
     stratum = support_contains(f, tuple(Fraction(t) for t in xi))
     last = reference_track(f, start, flow.direction(xi), r_final)[-1]
-    residual = 0.0
-    for ray, coord in zip(last.chart, last.end):
-        if not cmath.isfinite(coord):
-            residual = math.inf
-        elif ray in stratum:
-            residual = max(residual, abs(coord))
-        elif abs(coord) < tol:
-            residual = math.inf
-    return flow.LimitReport(stratum, last.endpoint, residual, residual <= tol)
+
+    def judged(chart, coords):
+        residual = 0.0
+        for ray, coord in zip(chart, coords):
+            if not cmath.isfinite(coord):
+                residual = math.inf
+            elif ray in stratum:
+                residual = max(residual, abs(coord))
+            elif abs(coord) < tol:
+                residual = math.inf
+        return flow.LimitReport(stratum, flow.ChartPoint(chart, coords), residual,
+                                residual <= tol)
+
+    if set(stratum) <= set(last.chart):
+        return judged(last.chart, last.end)
+    reports = []
+    for c in f.maximal_cones:
+        if len(c) == f.ambient_dim and set(stratum) <= set(c):
+            try:
+                reports.append(judged(c, toric.transition(f, last.chart, c).apply(last.end)))
+            except (ZeroDivisionError, OverflowError):
+                pass
+    if not reports:
+        return flow.LimitReport(stratum, last.endpoint, math.inf, False)
+    return min(reports, key=lambda rep: rep.residual)
 
 
 def outcome(call, *args):
@@ -466,6 +486,75 @@ class TestTrackMatchesReference:
     def test_integer_direction(self):
         assert flow.integer_direction((Fraction(1, 2), Fraction(-1, 3), 2)) == ((3, -2, 12), 6)
         assert flow.integer_direction((4, 0)) == ((4, 0), 1)
+
+
+def k40_case():
+    """The differential case where the final chart misses the stratum but
+    the final-chart rule says converged: k40, xi = (0, 1/2), started in
+    chart (18, 19)."""
+    return next((f, xi, start) for name, f, xi, start, _ in differential_cases()
+                if name == "k40" and xi == (0, Fraction(1, 2)) and start.chart == (18, 19))
+
+
+class TestVerdictInAChartHoldingTheStratum:
+    def test_k40_final_chart_misses_the_stratum(self):
+        f, xi, start = k40_case()
+        segments = flow.track(f, start, flow.direction(xi), flow.R_AT_INFINITY)
+        wrong = flow.limit_report((41,), segments)
+        assert (wrong.numeric_limit.chart, wrong.residual, wrong.converged) == ((35, 36), 0.0, True)
+        rep = flow.verify_limit(f, xi, start)
+        assert rep.predicted_stratum == (41,)
+        assert rep.numeric_limit.chart == (41, 42)
+        assert rep.converged and 0 < rep.residual < 1e-27
+        assert rep == flow.limit_verdict(f, (41,), segments)
+
+    def test_k40_through_the_cli(self, tmp_path, capsys):
+        f, xi, start = k40_case()
+        path = tmp_path / "k40.fan"
+        path.write_text(dump_fan(f))
+        code = cli.main(["limit", str(path), "--xi=0,1/2", "--chart", "18,19",
+                         "--start", ",".join(map(repr, start.coords)),
+                         "--format", "machine"])
+        out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        assert code == 0
+        assert (out["stratum"], out["chart"], out["converged"]) == ("41", "41,42", "true")
+
+    @pytest.mark.parametrize("end, chart", [
+        ((complex("nan"), 1), (0, 1)),  # a tie at an infinite residual: the first cone
+        ((0.5, 0), (0, 2)),  # the map into (0, 1) divides by zero
+        ((0, 0), (1, 2)),  # every map does: the end in its own chart
+    ])
+    def test_maps_into_cones_holding_the_stratum(self, end, chart):
+        seg = flow.TrajectorySegment((1, 2), 0.0, -10.0, (1, 1), tuple(map(complex, end)))
+        rep = flow.limit_verdict(CP2, (0,), [seg])
+        assert rep.numeric_limit.chart == chart
+        assert rep.residual == math.inf and not rep.converged
+
+    def test_every_map_overflowing_is_no_convergence(self):
+        # in chart (2, 3) of k40 the end pairs as converged but misses ray
+        # 1, and both maps into the cones holding ray 1 overflow
+        seg = flow.TrajectorySegment((2, 3), 0.0, -10.0, (1, 1), (1 + 0j, 1e300 + 0j))
+        assert flow.limit_report((1,), [seg]).converged
+        rep = flow.limit_verdict(k_fan(), (1,), [seg])
+        assert rep.numeric_limit == seg.endpoint
+        assert rep.residual == math.inf and not rep.converged
+
+    def test_converged_only_in_a_chart_holding_the_stratum(self):
+        judged = 0
+        for name, f, xi, start, _ in differential_cases():
+            try:
+                segments = flow.track(f, start, flow.direction(xi), flow.R_AT_INFINITY)
+            except Exception:
+                continue
+            stratum = flow.limit_stratum(f, xi)
+            rep = flow.verify_limit(f, xi, start)
+            assert rep == flow.limit_verdict(f, stratum, segments)
+            if rep.converged:
+                assert set(stratum) <= set(rep.numeric_limit.chart), (name, xi, start)
+            if set(stratum) <= set(segments[-1].chart):
+                assert rep == flow.limit_report(stratum, segments), (name, xi, start)
+                judged += 1
+        assert judged >= 100
 
 
 class TestChartSwitching:

@@ -1,12 +1,18 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus import random_unimodular
+from toricfan import lattice
 
 from toricfan.errors import BadParam, DegenerateSubdivision, MalformedInput, UnknownBuiltin
-from toricfan.fan import fans_equal, is_complete_facet, validate
+from toricfan.fan import fans_equal, is_complete_facet, make_fan, validate
 from toricfan.formats import dump_fan, dump_weight_data, parse_fan, parse_weight_data
 from toricfan.library import builtin_fan, cp1, cpn, hirzebruch, quadrant
-from toricfan.toric import weight_data_from_fan
+from toricfan.toric import WeightBasis, WeightData, weight_data_from_fan
 
 
 class TestLibrary:
@@ -102,6 +108,12 @@ class TestFanFormat:
         with pytest.raises(MalformedInput):
             parse_fan('{"dim": 1, "rays": [[true]], "maximal_cones": [[0]]}')
 
+    def test_rejects_non_integer_cone_entries(self):
+        for entry in ("1.0", "true", '"1"'):
+            with pytest.raises(MalformedInput, match="^maximal cone 0 must contain integers$"):
+                parse_fan('{"dim": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, %s]]}'
+                          % entry)
+
     def test_rejects_missing_fields(self):
         with pytest.raises(MalformedInput):
             parse_fan('{"dim": 2}')
@@ -129,3 +141,57 @@ class TestWeightFormat:
     def test_rejects_empty(self):
         with pytest.raises(MalformedInput):
             parse_weight_data('{"dim": 2, "fixed_points": []}')
+
+
+@st.composite
+def fans(draw):
+    """Fans as the constructor takes them, axioms unchecked: distinct
+    primitive rays with entries of any sign and size, each in some cone;
+    no rays gives the one empty cone."""
+    n = draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-10 ** 20, 10 ** 20))
+    vectors = draw(st.lists(st.tuples(*[entries] * n), max_size=7))
+    rays = list(dict.fromkeys(lattice.primitive(v) for v in vectors if any(v)))
+    cones = draw(st.lists(st.sets(st.sampled_from(range(len(rays))), max_size=n),
+                          max_size=6)) if rays else []
+    covered = set().union(*cones)
+    cones += [{i} for i in range(len(rays)) if i not in covered]
+    return make_fan(rays, cones, dim=n)
+
+
+@st.composite
+def weight_data(draw):
+    n = draw(st.integers(1, 4))
+    ids = st.text(st.characters(), max_size=6)
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    count = draw(st.integers(1, 5))
+    return WeightData(n, tuple(WeightBasis(draw(ids), random_unimodular(n, rng, ops=20))
+                               for _ in range(count)))
+
+
+class TestWritersMatchJson:
+    """dump_fan and dump_weight_data write json.dumps(doc, indent=2) + "\\n"."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(fans())
+    def test_fan_document(self, f):
+        doc = {"dim": f.ambient_dim, "rays": [list(r) for r in f.rays],
+               "maximal_cones": [list(c) for c in f.maximal_cones]}
+        assert dump_fan(f) == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(weight_data())
+    def test_weight_document(self, data):
+        doc = {"dim": data.dim, "fixed_points": [
+            {"id": b.fixed_point_id, "weights": [list(row) for row in b.weights]}
+            for b in data.bases]}
+        assert dump_weight_data(data) == json.dumps(doc, indent=2) + "\n"
+        assert parse_weight_data(dump_weight_data(data)) == data
+
+    def test_edge_cases(self):
+        empty = make_fan([], [], dim=2)
+        assert empty.maximal_cones == ((),)
+        assert dump_fan(empty) == '{\n  "dim": 2,\n  "rays": [],\n  "maximal_cones": [\n    []\n  ]\n}\n'
+        data = WeightData(1, (WeightBasis('a"\\\n\u00e9\U0001f600', ((-1,),)),))
+        assert json.loads(dump_weight_data(data))["fixed_points"][0]["id"] == data.bases[0].fixed_point_id
+        assert '"id": "a\\"\\\\\\n\\u00e9\\ud83d\\ude00"' in dump_weight_data(data)

@@ -1,8 +1,9 @@
+import random
 from itertools import permutations, product
 
 import pytest
 
-from corpus import complete_builtins, subdivision_iterates
+from corpus import complete_builtins, random_unimodular, subdivision_iterates
 from toricfan import lattice, toric
 from toricfan.errors import (
     InconsistentData,
@@ -11,7 +12,7 @@ from toricfan.errors import (
     NotPure,
     NotUnimodular,
 )
-from toricfan.fan import fans_equal, make_fan, sigma
+from toricfan.fan import fans_equal, make_fan, sigma, validate
 from toricfan.library import cp1, cpn, hirzebruch, quadrant
 
 CP2 = cpn(2)
@@ -46,6 +47,10 @@ class TestIsotropyWeights:
         with pytest.raises(NotMaximal):
             toric.isotropy_weights(CP2, (0,))
 
+    def test_iterator_argument_named_in_the_message(self):
+        with pytest.raises(NotMaximal, match=r"^\{0\} is not a full-dimensional maximal cone$"):
+            toric.weight_matrix(CP2, iter([0]))
+
     def test_pairs_to_identity(self):
         for f in complete_builtins().values():
             for c in toric.fixed_points(f):
@@ -65,6 +70,10 @@ class TestTransition:
     def test_pinned_example(self):
         m = toric.transition(CP2, (0, 1), (1, 2))
         assert m.exponents == ((-1, 1), (-1, 0))
+
+    def test_iterator_source_named_in_the_message(self):
+        with pytest.raises(NotMaximal, match=r"^\{2\} is not a full-dimensional maximal cone$"):
+            toric.transition(CP2, iter([2]), (0, 1))
 
     def test_apply_matches_exponents(self):
         m = toric.transition(CP2, (0, 1), (1, 2))
@@ -219,3 +228,140 @@ class TestReconstruction:
             toric.fan_from_weight_data(data)
         assert err.value.report is not None
         assert not err.value.report.ok
+
+
+def reference_reconstruction(data):
+    """fan_from_weight_data by its first definition: one dual_basis per
+    fixed point and a fan with no charts handed over."""
+    ray_index, rays, cone_owner, cones = {}, [], {}, []
+    for basis in data.bases:
+        indices = []
+        for g in lattice.dual_basis(basis.weights):
+            if g not in ray_index:
+                ray_index[g] = len(rays)
+                rays.append(g)
+            indices.append(ray_index[g])
+        cone = tuple(sorted(indices))
+        if cone in cone_owner:
+            raise InconsistentData(
+                f"fixed points {cone_owner[cone]!r} and {basis.fixed_point_id!r} "
+                f"yield the same cone {set(cone)}"
+            )
+        cone_owner[cone] = basis.fixed_point_id
+        cones.append(cone)
+    result = make_fan(rays, cones, dim=data.dim)
+    report = validate(result)
+    if not report.ok:
+        raise InconsistentData("assembled cones violate the fan axioms", report)
+    return result
+
+
+def reconstruction_outcome(call, data):
+    try:
+        f = call(data)
+    except InconsistentData as e:
+        return "InconsistentData", str(e), e.report
+    return "ok", f.rays, f.maximal_cones
+
+
+def gkm_corpus():
+    """Weight data of the builtins, the subdivision iterates and their
+    GL(n, Z) images, each also with its fixed points shuffled."""
+    rng = random.Random(23)
+    fans = list(complete_builtins().values()) + subdivision_iterates()
+    fans += [image_under(random_unimodular(f.ambient_dim, rng), f) for f in fans]
+    out = []
+    for f in fans:
+        data = toric.weight_data_from_fan(f)
+        shuffled = list(data.bases)
+        rng.shuffle(shuffled)
+        out += [data, toric.WeightData(data.dim, tuple(shuffled))]
+    return out
+
+
+def image_under(m, f):
+    """The fan of f's cones over the rays m * r, m in GL(n, Z)."""
+    return make_fan([tuple(lattice.dot(row, r) for row in m) for r in f.rays],
+                    f.maximal_cones)
+
+
+@pytest.fixture
+def dual_basis_calls(monkeypatch):
+    calls = []
+    original = lattice.dual_basis
+    monkeypatch.setattr(lattice, "dual_basis", lambda g: calls.append(g) or original(g))
+    return calls
+
+
+class TestGKMReconstruction:
+    def test_generators_are_the_dual_bases(self, dual_basis_calls):
+        for data in gkm_corpus():
+            expected = [lattice.dual_basis(b.weights) for b in data.bases]
+            del dual_basis_calls[:]
+            assert toric._gkm_generators(data.bases) == expected
+            assert len(dual_basis_calls) == 1  # one GKM graph: one seed
+
+    def test_same_rays_cones_and_errors_as_the_reference(self):
+        for data in gkm_corpus():
+            assert reconstruction_outcome(toric.fan_from_weight_data, data) == \
+                reconstruction_outcome(reference_reconstruction, data)
+
+    def test_charts_handed_to_the_rebuilt_fan(self, dual_basis_calls):
+        for data in gkm_corpus():
+            f = toric.fan_from_weight_data(data)
+            calls = len(dual_basis_calls)
+            charts = f.charts
+            assert len(dual_basis_calls) == calls
+            assert charts == make_fan(f.rays, f.maximal_cones).charts
+
+    def test_one_hermite_form_for_cpn10(self, dual_basis_calls):
+        data = toric.weight_data_from_fan(cpn(10))
+        del dual_basis_calls[:]
+        f = toric.fan_from_weight_data(data)
+        assert len(dual_basis_calls) == 1
+        assert fans_equal(f, cpn(10))
+
+    def test_perturbed_neighbour_gives_the_reference_error(self):
+        """Adding one weight row to another at one fixed point keeps a
+        Z-basis there but breaks the fan: the generators stay the dual
+        bases (by the rule from a neighbour or a seed of their own) and
+        the fan-level check raises the reference's error."""
+        rng = random.Random(5)
+        perturbed = 0
+        for f in list(complete_builtins().values())[1:] + subdivision_iterates():
+            data = toric.weight_data_from_fan(f)
+            bases = list(data.bases)
+            q = rng.randrange(len(bases))
+            k, m = rng.sample(range(data.dim), 2)
+            rows = list(bases[q].weights)
+            rows[k] = tuple(x + y for x, y in zip(rows[k], rows[m]))  # still a Z-basis
+            bases[q] = toric.WeightBasis(bases[q].fixed_point_id, tuple(rows))
+            data = toric.WeightData(data.dim, tuple(bases))
+            assert toric._gkm_generators(data.bases) == \
+                [lattice.dual_basis(b.weights) for b in data.bases]
+            got = reconstruction_outcome(toric.fan_from_weight_data, data)
+            assert got[0] == "InconsistentData"
+            assert got == reconstruction_outcome(reference_reconstruction, data)
+            perturbed += 1
+        assert perturbed == 16
+
+    def test_a_failed_exchange_seeds_a_walk(self, dual_basis_calls):
+        # q holds -e1 but (1, 1, 1) - <(1, 1, 1), e1> e1 is no weight of p
+        data = toric.WeightData(3, (
+            toric.WeightBasis("p", ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+            toric.WeightBasis("q", ((-1, 0, 0), (0, 1, 0), (1, 1, 1))),
+        ))
+        assert toric._gkm_generators(data.bases) == \
+            [lattice.dual_basis(b.weights) for b in data.bases]
+        assert len(dual_basis_calls) == 2 + 2
+        assert reconstruction_outcome(toric.fan_from_weight_data, data) == \
+            reconstruction_outcome(reference_reconstruction, data)
+
+    def test_disconnected_points_seed_their_own_walks(self, dual_basis_calls):
+        data = toric.WeightData(2, (
+            toric.WeightBasis("p", ((1, 0), (0, 1))),
+            toric.WeightBasis("q", ((1, 0), (0, 1))),
+        ))
+        with pytest.raises(InconsistentData, match="'p' and 'q' yield the same cone"):
+            toric.fan_from_weight_data(data)
+        assert len(dual_basis_calls) == 2
