@@ -42,11 +42,11 @@ VERDICT_ERRORS = (
 
 
 def _fmt_cone(indices) -> str:
-    return ",".join(str(i) for i in indices) if indices else "-"
+    return ",".join(map(str, indices)) if indices else "-"
 
 
 def _fmt_vec(v) -> str:
-    return "(" + ",".join(str(x) for x in v) + ")"
+    return "(" + ",".join(map(str, v)) + ")"
 
 
 def _read_fan(path):
@@ -208,12 +208,12 @@ def cmd_atlas(args) -> int:
     charts = toric.fixed_points(fan)
     for c in charts:
         basis = toric.isotropy_weights(fan, c)
-        rows = " ".join(_fmt_vec(w) for w in basis.weights)
+        rows = " ".join(map(_fmt_vec, basis.weights))
         out.both("chart", _fmt_cone(c), rows,
                  text=f"fixed point {basis.fixed_point_id}: chart {{{_fmt_cone(c)}}}, weights {rows}")
     maps = {(c, d): toric.transition(fan, c, d) for c in charts for d in charts}
     for (c, d), m in maps.items():
-        rows = ";".join(",".join(str(x) for x in row) for row in m.exponents)
+        rows = ";".join([",".join(map(str, row)) for row in m.exponents])
         out.both("transition", _fmt_cone(c), _fmt_cone(d), rows,
                  text=f"transition {{{_fmt_cone(c)}}} -> {{{_fmt_cone(d)}}}: {rows}")
     # The map from a to b is A_b G_a^T.  If every A_c G_c^T is the identity,
@@ -239,7 +239,7 @@ def cmd_limit(args) -> int:
     xi = _parse_rationals(args.xi)
     if len(xi) != fan.ambient_dim:
         raise MalformedInput(f"--xi needs {fan.ambient_dim} entries")
-    stratum = flow.limit_stratum(fan, xi)
+    stratum = flow.limit_stratum(fan, flow.limit_direction(xi, args.r))
     charts = toric.fixed_points(fan)
     if not charts:
         raise NotComplete("fan has no full-dimensional cone")
@@ -338,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chart", default=None, help="start chart as ray indices, e.g. 0,1")
     p.add_argument("--start", default=None, help="start coordinates, e.g. 1,1 or 1+1j,2")
     p.add_argument("--tol", type=float, default=flow.DEFAULT_TOL)
-    p.add_argument("--r", type=float, default=flow.R_AT_INFINITY)
+    p.add_argument("--r", type=float, default=flow.R_AT_INFINITY,
+                   help="flow time to track to; a positive one is checked "
+                        "against the stratum of -xi")
     p.add_argument("--trajectory", default=None, help="write sampled trajectory records here")
     add_format(p)
     p.set_defaults(run=cmd_limit)

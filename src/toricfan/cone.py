@@ -48,7 +48,10 @@ class RayTable:
 
 
 def make_table(rays, dim=None) -> RayTable:
-    rays = tuple(lattice.vec(r) for r in rays)
+    try:
+        rays = tuple(map(lattice.vec, rays))
+    except ValueError as e:
+        raise MalformedInput(f"rays must have integer entries: {e}") from None
     if dim is None:
         if not rays:
             raise MalformedInput("cannot infer the ambient dimension of an empty table")

@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, count
-from operator import mul
+from itertools import combinations, islice
+from operator import add, mul, sub
 
 from . import lattice
 from .cone import (
@@ -106,23 +106,52 @@ class Fan:
     def facet_map(self) -> dict[IndexSet, tuple[IndexSet, ...]]:
         """Each codimension-one cone mapped to the full-dimensional maximal
         cones containing it (possibly none), in ascending order; built on
-        first use in O(m*n) for m maximal cones of at most n rays.
+        first use, with _neighbours, by _walls."""
+        return self._walls[0]
+
+    @cached_property
+    def _neighbours(self) -> dict[IndexSet, list[tuple[int, IndexSet, int]]]:
+        """Each full-dimensional maximal cone c mapped to the triples
+        (i, d, p): d is another full-dimensional maximal cone holding c's
+        wall opposite its i-th ray, and d's ray outside that wall is its
+        p-th.  Built with facet_map by _walls, so the chart walk and the
+        wall certificate neither slice a wall nor search an index tuple."""
+        return self._walls[1]
+
+    @cached_property
+    def _walls(self):
+        """(facet_map, _neighbours) from one pass in O(m*n) over the m
+        maximal cones of at most n rays.
 
         A full-dimensional cone containing an (n-1)-cone is that cone plus
-        one ray, so it is found from its own facets.  Codimension-one faces
-        of the other maximal cones are keys too, so the keys are exactly
-        the (n-1)-cones of the face closure.
+        one ray, so it is found from its own facets, each recorded with
+        the position of the ray it leaves out.  Codimension-one faces of
+        the other maximal cones are keys of facet_map too, so its keys are
+        exactly the (n-1)-cones of the face closure.
         """
         n = self.ambient_dim
-        incidence: dict[IndexSet, list[IndexSet]] = {}
+        held: dict[IndexSet, list[tuple[IndexSet, int]]] = {}
         for c in self.maximal_cones:
             if len(c) == n:
-                for i in range(n):
-                    incidence.setdefault(c[:i] + c[i + 1:], []).append(c)
+                # combinations leaves out the last ray first, then the others
+                for i, wall in zip(range(n - 1, -1, -1), combinations(c, n - 1)):
+                    held.setdefault(wall, []).append((c, i))
             elif len(c) >= n - 1:
                 for facet in combinations(c, n - 1):
-                    incidence.setdefault(facet, [])
-        return {k: tuple(v) for k, v in incidence.items()}
+                    held.setdefault(facet, [])
+        facet_map = {}
+        across: dict[IndexSet, list] = {c: [] for c in self.maximal_cones if len(c) == n}
+        for wall, slots in held.items():
+            if len(slots) == 2:
+                (c, i), (d, p) = slots
+                facet_map[wall] = (c, d)
+                across[c].append((i, d, p))
+                across[d].append((p, c, i))
+            else:
+                facet_map[wall] = tuple([c for c, _ in slots])
+                for c, i in slots:
+                    across[c] += [(i, d, p) for d, p in slots if d != c]
+        return facet_map, across
 
     @cached_property
     def charts(self) -> dict[IndexSet, tuple | None]:
@@ -130,7 +159,7 @@ class Fan:
         for a cone without a chart); built on first use, so loops over
         the maximal cones read every chart once per fan.
 
-        The charts are found by a walk across the walls of facet_map,
+        The charts are found by a walk across the walls of _neighbours,
         the wall-crossing rule of adjacent fixed points.  A Hermite normal
         form (lattice.dual_basis) runs only on a cone no walk has reached
         yet; a unimodular one seeds a walk, and each neighbour's dual
@@ -141,7 +170,7 @@ class Fan:
         read, not redone.
         """
         cache = self._weight_cache
-        walls = self.facet_map
+        neighbours = self._neighbours
         rays = self._table.rays
         walked = set()
         for seed in self.maximal_cones:
@@ -152,17 +181,15 @@ class Fan:
             while stack:
                 c = stack.pop()
                 rows = cache[c]
-                for i in range(len(c)):
-                    wall = c[:i] + c[i + 1:]
-                    for d in walls[wall]:
-                        if d in walked:
-                            continue
-                        if d not in cache:
-                            p = _outside(d, wall)
-                            cache[d] = _cross_wall(rows, i, rays[d[p]], p)
-                        if cache[d] is not None:
-                            walked.add(d)
-                            stack.append(d)
+                for i, d, p in neighbours[c]:
+                    if d in walked:
+                        continue
+                    chart = cache.get(d, _MISSING)
+                    if chart is _MISSING:
+                        chart = cache[d] = _cross_wall(rows, i, rays[d[p]], p)
+                    if chart is not None:
+                        walked.add(d)
+                        stack.append(d)
         return {c: cache[c] for c in self.maximal_cones}
 
     @cached_property
@@ -288,7 +315,7 @@ def validate(f: Fan) -> ValidationReport:
     """Check the fan axioms and report every violation with a witness.
 
     A complete unimodular fan is recognised first by a wall certificate
-    (see _wall_certificate) in O(m*n^2) integer dot products; any other
+    (see _wall_certificate) in O(m*n^2) integer operations; any other
     fan, or a complete one the certificate does not settle, goes to the
     pairwise checks of _pairwise_violations, which give the witnesses.
     """
@@ -303,50 +330,55 @@ def _wall_certificate(f: Fan) -> bool:
 
     It holds when (1) every maximal cone is full-dimensional with an
     integer dual basis (chart_weights), (2) every codimension-one cone
-    (wall) is a facet of exactly two maximal cones c and d, (3) the normal
-    of c dual to its ray outside the wall is negative on d's ray outside
-    it, so c and d lie on opposite sides, and (4) exactly one cone holds
-    p = sum_k t^k g_k strictly inside, g_k the generators of the first
-    maximal cone, for the first t = 2, 3, ... at which no facet normal of
-    any cone vanishes on p.  A nonzero normal pairs with p(t) as a nonzero
-    polynomial of degree < n in t, so only finitely many t are skipped.
+    (wall) is a facet of exactly two maximal cones c and d, (3) the rows
+    of c and d dual to their rays outside the wall are not equal, and
+    (4) the point p, the sum of the generators of the first maximal cone,
+    lies in no other maximal cone.
+
+    (3) says that c and d lie on opposite sides of the wall.  Both rows
+    vanish on the wall's rays and pair to 1 with a ray completing them
+    to a Z-basis, so each spans the integer annihilator of the wall and
+    the two are equal or opposite: equal exactly when d's outside ray
+    pairs to +1 with c's row, on c's side.  These are the weights a and
+    -a of the invariant curve between adjacent fixed points.  (4) takes
+    one sign per weight row until a negative one: p pairs to 1 with every
+    row of the first cone, so it lies strictly inside it.
 
     Why it suffices: orient each cone so that it maps to R^n with
     positive orientation.  By (2) and (3) adjacent cones induce opposite
     orientations on their common wall, so the cones glued along their
     walls form a closed oriented pseudomanifold and its map to the unit
     sphere has a degree: the number of cones holding a point strictly
-    inside, the same for every point off the walls.  Every point of the
-    glued complex contributes a local degree of at least 1 to the degree
-    at its image (its link is again such a pseudomanifold, mapped onto a
-    sphere).  Degree 1 at p therefore makes the map a bijection: the
-    cones cover R^n (complete) and distinct cones meet exactly in the
-    cone over their common rays (the intersection axiom).  Unimodularity
-    is (1).  So a certified fan has no violation, and validate need not
-    look at any pair.
+    inside, the same for every point on no wall.  By (4) p lies on no
+    wall and in one cone, so the degree is 1.  Every point of the glued
+    complex contributes a local degree of at least 1 to the degree at
+    its image (its link is again such a pseudomanifold, mapped onto a
+    sphere), so the map is a bijection: the cones cover R^n (complete)
+    and distinct cones meet exactly in the cone over their common rays
+    (the intersection axiom).  Unimodularity is (1).  So a certified fan
+    has no violation, and validate need not look at any pair.
+    Conversely every valid complete unimodular fan is certified: if
+    another cone held p, which is inside the first cone, the two would
+    not meet in a common face.
     """
     weights = f.charts
     if None in weights.values():
         return False
-    rays = f.rays
-    for wall, cones in f.facet_map.items():
-        if len(cones) != 2:
-            return False
-        c, d = cones
-        normal = weights[c][_outside(c, wall)]
-        if sum(map(mul, normal, rays[d[_outside(d, wall)]])) >= 0:
-            return False
-    g = f.generators(f.maximal_cones[0])
-    for t in count(2):
-        p = [sum(t ** k * x for k, x in enumerate(col)) for col in zip(*g)]
-        inside = 0
-        for rows in weights.values():
-            pairings = [sum(map(mul, row, p)) for row in rows]
-            if 0 in pairings:
+    if any(len(cones) != 2 for cones in f.facet_map.values()):
+        return False
+    for c, crossings in f._neighbours.items():
+        rows = weights[c]
+        for i, d, k in crossings:
+            if rows[i] == weights[d][k]:
+                return False
+    p = [sum(col) for col in zip(*f.generators(f.maximal_cones[0]))]
+    for rows in islice(weights.values(), 1, None):
+        for row in rows:
+            if sum(map(mul, row, p)) < 0:
                 break
-            inside += all(q > 0 for q in pairings)
         else:
-            return inside == 1
+            return False
+    return True
 
 
 def _holding(incidence: dict[int, set[IndexSet]], c: IndexSet) -> bool:
@@ -376,22 +408,20 @@ def _cross_wall(rows, i: int, g: tuple, p: int):
     a_i = sum(map(mul, rows[i], g))
     if a_i != 1 and a_i != -1:
         return None
-    b_i = rows[i] if a_i == 1 else tuple(-x for x in rows[i])
+    b_i = rows[i] if a_i == 1 else tuple([-x for x in rows[i]])
     out = []
     for k, row in enumerate(rows):
         if k != i:
             a_k = sum(map(mul, row, g))
-            out.append(tuple(x - a_k * y for x, y in zip(row, b_i)) if a_k else row)
+            if a_k == -1:  # -1 and 1 are the usual values: rows added in C
+                row = tuple(map(add, row, b_i))
+            elif a_k == 1:
+                row = tuple(map(sub, row, b_i))
+            elif a_k:
+                row = tuple([x - a_k * y for x, y in zip(row, b_i)])
+            out.append(row)
     out.insert(p, b_i)
     return tuple(out)
-
-
-def _outside(c: IndexSet, wall: IndexSet) -> int:
-    """Position in c of its one ray that is not in `wall`, a facet of c."""
-    for i, (a, b) in enumerate(zip(c, wall)):
-        if a != b:
-            return i
-    return len(wall)
 
 
 def _pairwise_violations(f: Fan) -> tuple[Violation, ...]:

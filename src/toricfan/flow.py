@@ -106,6 +106,14 @@ def limit_stratum(f: Fan, xi):
     return support_contains(f, integer_direction(xi)[0])
 
 
+def limit_direction(xi, r_final: float):
+    """The direction whose limit_stratum the flow of xi approaches when
+    tracked to r_final: xi itself for r_final <= 0 (r -> -infinity), and
+    -xi for r_final > 0, since running forward is the flow of -xi run
+    backward (the stratum track targets)."""
+    return xi if r_final <= 0 else tuple(-Fraction(t) for t in xi)
+
+
 def pairing_rates(weights: WeightBasis, d: Direction):
     """Exact pairings (<u, alpha_j>, <v, alpha_j>) per chart coordinate."""
     u = [lattice.dot(d.xi, row) for row in weights.weights]
@@ -318,8 +326,7 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
 
     forward = r_final > 0
     xi, scale = integer_direction(d.xi)
-    target_xi = tuple(-t for t in xi) if forward else xi
-    target = set(limit_stratum(f, target_xi) or ())
+    target = set(limit_stratum(f, limit_direction(xi, r_final)) or ())
     if d.angular is None:
         angular = None
     else:
@@ -388,8 +395,9 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
 def verify_limit(f: Fan, xi, start: ChartPoint, tol: float = DEFAULT_TOL,
                  r_final: float = R_AT_INFINITY) -> LimitReport:
     """Numerically confirm the limit classification of a direction: track
-    the flow of xi to r_final and judge the end with limit_verdict."""
-    stratum = limit_stratum(f, xi)
+    the flow of xi to r_final and judge the end with limit_verdict,
+    against the stratum of limit_direction(xi, r_final)."""
+    stratum = limit_stratum(f, limit_direction(xi, r_final))
     segments = track(f, start, direction(xi), r_final)
     return limit_verdict(f, stratum, segments, tol)
 

@@ -8,6 +8,7 @@ returns fresh immutable values; nothing here touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import NotUnimodular, ZeroVector
@@ -16,15 +17,31 @@ Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
 
+_INT = frozenset((int,))
+
+
 def vec(entries) -> Vector:
-    return tuple(int(x) for x in entries)
+    """The entries as a tuple of ints.  Integral values of other numeric
+    types (2.0, Fraction(4, 2)) are converted; any other entry raises
+    ValueError, never truncated.  A tuple of ints is returned as it is,
+    after one type scan in C."""
+    v = tuple(entries)
+    if set(map(type, v)) <= _INT:
+        return v
+    ints = tuple(map(int, v))
+    if ints != v:
+        raise ValueError(f"non-integral entry in {v}")
+    return ints
 
 
 def mat(rows) -> Matrix:
-    m = tuple(vec(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
+    """The rows as a tuple of vectors (see vec); ValueError when ragged."""
+    m = tuple(map(tuple, rows))
+    if m and len(set(map(len, m))) != 1:
         raise ValueError("ragged matrix")
-    return m
+    if set(map(type, chain.from_iterable(m))) <= _INT:
+        return m
+    return tuple(map(vec, m))
 
 
 def dot(a, b):
@@ -45,7 +62,7 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def primitive(v) -> Vector:
@@ -249,9 +266,9 @@ def det(m) -> int:
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
     m = mat(m)
     n = len(m)
-    if n == 0 or any(len(r) != n for r in m):
+    if n == 0 or len(m[0]) != n:
         raise ValueError("determinant needs a square nonempty matrix")
-    w = [list(r) for r in m]
+    w = list(map(list, m))
     sign = 1
     prev = 1
     for t in range(n - 1):
@@ -281,7 +298,7 @@ def dual_basis(g) -> Matrix:
     """
     g = mat(g)
     n = len(g)
-    if n == 0 or any(len(r) != n for r in g):
+    if n == 0 or len(g[0]) != n:
         raise ValueError("dual basis needs a square nonempty matrix")
     h, u = _hnf(g)
     if any(h[t][t] != 1 for t in range(n)):

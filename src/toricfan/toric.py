@@ -31,10 +31,23 @@ class WeightBasis:
         n = len(self.weights)
         if n == 0 or any(len(row) != n for row in self.weights):
             raise MalformedInput("weight basis must be square and nonempty")
-        if lattice.det(self.weights) not in (1, -1):
+        try:
+            d = lattice.det(self.weights)
+        except ValueError as e:
+            raise MalformedInput(f"weights at {self.fixed_point_id}: {e}") from None
+        if d not in (1, -1):
             raise NotUnimodular(
                 f"weights at {self.fixed_point_id} are not a Z-basis"
             )
+
+    @classmethod
+    def of_chart(cls, fixed_point_id: str, weights: Matrix) -> "WeightBasis":
+        """The basis of rows a fan has proven a Z-basis (a chart, see
+        Fan.chart_weights), built without the det check."""
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "fixed_point_id", fixed_point_id)
+        object.__setattr__(basis, "weights", weights)
+        return basis
 
     @property
     def dim(self) -> int:
@@ -95,7 +108,7 @@ def fixed_points(f: Fan) -> tuple[IndexSet, ...]:
 
 
 def chart_label(indices) -> str:
-    return "p" + "-".join(str(i) for i in sorted(indices))
+    return "p" + "-".join(map(str, sorted(indices)))
 
 
 def weight_matrix(f: Fan, cone_indices) -> Matrix:
@@ -115,8 +128,9 @@ def weight_matrix(f: Fan, cone_indices) -> Matrix:
 
 
 def isotropy_weights(f: Fan, cone_indices) -> WeightBasis:
-    """Weight basis of the fixed point of a full-dimensional cone."""
-    return WeightBasis(chart_label(cone_indices), weight_matrix(f, cone_indices))
+    """Weight basis of the fixed point of a full-dimensional cone: the
+    fan's chart, proven once, so no det runs here."""
+    return WeightBasis.of_chart(chart_label(cone_indices), weight_matrix(f, cone_indices))
 
 
 def transition(f: Fan, source, target) -> MonomialMap:
@@ -167,7 +181,8 @@ def quotient_presentation(f: Fan) -> QuotientPresentation:
 
 def weight_data_from_fan(f: Fan) -> WeightData:
     """Weight bases of all fixed points; requires a pure fan so the data
-    determines the fan completely."""
+    determines the fan completely.  The charts are read from Fan.charts,
+    one walk with a Hermite form per connected piece."""
     n = f.ambient_dim
     if any(len(c) != n for c in f.maximal_cones):
         bad = next(c for c in f.maximal_cones if len(c) != n)
@@ -175,7 +190,11 @@ def weight_data_from_fan(f: Fan) -> WeightData:
             f"cone {set(bad) if bad else '{}'} is not contained in a "
             "full-dimensional cone"
         )
-    return WeightData(n, tuple(isotropy_weights(f, c) for c in fixed_points(f)))
+    charts = f.charts
+    # a cone without a chart goes to weight_matrix, which raises NotUnimodular
+    return WeightData(n, tuple(
+        WeightBasis.of_chart(chart_label(c), charts[c] or weight_matrix(f, c))
+        for c in fixed_points(f)))
 
 
 def fan_from_weight_data(data: WeightData) -> Fan:

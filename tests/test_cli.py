@@ -237,6 +237,19 @@ class TestLimit:
         assert main(["limit", cp2_file, "--xi=1,-1", f"--tol={value}"]) == 2
         assert "--tol must be a positive finite number" in capsys.readouterr().err
 
+    def test_forward_flow_reports_the_stratum_of_minus_xi(self, cp2_file, capsys):
+        assert main(["limit", cp2_file, "--xi=1,1", "--r", "3", "--format", "machine"]) == 0
+        recs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        assert recs["stratum"] == "2"
+        assert recs["chart"] == "0,2"
+        assert recs["converged"] == "true"
+
+    def test_forward_flow_from_a_chart_missing_the_stratum(self, cp2_file, capsys):
+        code = main(["limit", cp2_file, "--xi=1,1", "--r", "3", "--chart", "0,1",
+                     "--format", "machine"])
+        recs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        assert (code, recs["stratum"], recs["converged"]) == (0, "2", "true")
+
     def test_finite_parameters_accepted(self, cp2_file):
         assert main(["limit", cp2_file, "--xi=1,-1", "--r=-12.5", "--tol=1e-3"]) == 0
 

@@ -64,6 +64,15 @@ class TestConstruction:
         with pytest.raises(MalformedInput):
             make_fan([(2, 0), (0, 1)], [(0, 1)])
 
+    @pytest.mark.parametrize("ray", [(1.5, 0), (Fraction(1, 2), 0), (float("nan"), 0)])
+    def test_rejects_non_integral_ray(self, ray):
+        with pytest.raises(MalformedInput):
+            make_fan([ray, (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+
+    def test_accepts_integral_rays_of_other_types(self):
+        f = make_fan([(1.0, 0), (0, Fraction(1)), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+        assert f == CP2 and validate(f).ok
+
     def test_rejects_duplicate_rays(self):
         with pytest.raises(MalformedInput):
             make_fan([(1, 0), (1, 0)], [(0,), (1,)])
@@ -314,9 +323,10 @@ WINDS_TWICE = make_fan(
     [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-2, -1), (3, 1), (2, 1)],
     [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)],
 )
-# p(2) = (1,0) + 2*(-1,-1) = (-1,-2) lies on the line of the ray (1,2);
-# p(3) = (-2,-3) lies on no wall's line
-NOT_GENERIC_AT_2 = make_fan(
+# the certificate's point p = (1,0) + (-1,-1) = (0,-1), the sum of the
+# generators of the first cone {0,2}, lies on the line of the ray (0,1)
+# but on no wall
+ON_A_WALL_LINE = make_fan(
     [(1, 0), (0, 1), (-1, -1), (1, 1), (1, 2)],
     [(0, 2), (1, 2), (0, 3), (1, 4), (3, 4)],
 )
@@ -332,6 +342,7 @@ class TestWallCertificate:
         # complete unimodular fan has degree 1, so it is certified
         assert certified == (violations == () and is_complete_facet(f)[0]), f
         assert validate(f).violations == violations, f
+        assert_neighbours_match_reference(f)
         return certified, violations
 
     @settings(max_examples=250, derandomize=True, deadline=None)
@@ -372,14 +383,41 @@ class TestWallCertificate:
         assert {v.axiom for v in report.violations} == {"intersection"}
         assert report.violations == _pairwise_violations(WINDS_TWICE)
 
-    def test_skips_a_parameter_on_a_wall(self, fallbacks):
-        f = NOT_GENERIC_AT_2
-        p2 = (-1, -2)
-        assert any(lattice.dot(row, p2) == 0
+    def test_point_on_the_line_of_a_wall_is_certified(self, fallbacks):
+        f = ON_A_WALL_LINE
+        p = (0, -1)
+        assert f.maximal_cones[0] == (0, 2)
+        assert tuple(map(sum, zip(*f.generators((0, 2))))) == p
+        assert any(lattice.dot(row, p) == 0
                    for c in f.maximal_cones for row in f.chart_weights(c))
         assert _wall_certificate(f)
         assert validate(f) == fan_module.ValidationReport(ok=True, violations=())
         assert len(fallbacks) == 0
+
+    def test_point_in_a_second_cone_is_not_certified(self):
+        # p = (1,0) + (0,1) is the ray (1,1) of the second sheet
+        f = WINDS_TWICE
+        assert tuple(map(sum, zip(*f.generators(f.maximal_cones[0])))) == f.rays[4]
+        assert not _wall_certificate(f)
+
+    def test_same_side_neighbour_is_not_certified(self):
+        # three unimodular cones folded over the first quadrant: every wall
+        # is held by two cones, but {0,1} and {1,2} lie on the same side
+        # of the ray (0,1), so their rows dual to the outside rays agree
+        f = make_fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
+        assert is_complete_facet(f)[0]
+        assert f.chart_weights((0, 1))[0] == f.chart_weights((1, 2))[1]
+        certified, violations = self.check(f)
+        assert not certified and violations
+
+    def test_bookkeeping_on_incomplete_and_non_unimodular_fans(self):
+        fans = [non_unimodular_between(), quadrant(2), quadrant(3),
+                make_fan([(2, 1, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])]
+        fans += incomplete_fans() + invalid_fans()
+        for f in fans:
+            certified, _ = self.check(f)
+            assert not certified
 
     def test_lower_dimensional_or_non_unimodular_cones_fall_back(self):
         for f in (quadrant(1), make_fan([(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)])):
@@ -398,6 +436,41 @@ def reference_chart(f, c):
 
 def assert_charts_match_reference(f):
     assert f.charts == {c: reference_chart(f, c) for c in f.maximal_cones}, f
+
+
+def brute_neighbours(f):
+    """_neighbours by its definition: every pair of full-dimensional
+    maximal cones with n - 1 common rays, each with the positions of the
+    ray it keeps outside the common wall."""
+    n = f.ambient_dim
+    full = [c for c in f.maximal_cones if len(c) == n]
+    out = {c: set() for c in full}
+    for c, d in combinations(full, 2):
+        common = set(c) & set(d)
+        if len(common) == n - 1:
+            (r,), (s,) = set(c) - common, set(d) - common
+            out[c].add((c.index(r), d, d.index(s)))
+            out[d].add((d.index(s), c, c.index(r)))
+    return out
+
+
+def assert_neighbours_match_reference(f):
+    """The wall bookkeeping read by the walk and the certificate, against
+    brute force and the charts of reference_chart: across a wall the rows
+    dual to the outside rays are equal or opposite, equal exactly when
+    the two cones lie on the same side."""
+    neighbours = f._neighbours
+    assert {c: set(v) for c, v in neighbours.items()} == brute_neighbours(f), f
+    for c, crossings in neighbours.items():
+        wall_of = {i: c[:i] + c[i + 1:] for i in range(len(c))}
+        a = reference_chart(f, c)
+        for i, d, p in crossings:
+            assert d[:p] + d[p + 1:] == wall_of[i]
+            assert c in f.facet_map[wall_of[i]] and d in f.facet_map[wall_of[i]]
+            b = reference_chart(f, d)
+            if a is not None and b is not None:
+                assert a[i] in (b[p], tuple(-x for x in b[p]))
+                assert (a[i] == b[p]) == (lattice.dot(a[i], f.rays[d[p]]) > 0)
 
 
 def image_under(m, f):
@@ -436,7 +509,7 @@ class TestChartWalk:
     def test_corpora(self):
         fans = list(complete_builtins().values()) + subdivision_iterates()
         fans += incomplete_fans() + invalid_fans() + random_two_cone_fans(30, seed=5)
-        fans += [WINDS_TWICE, NOT_GENERIC_AT_2, non_unimodular_between()]
+        fans += [WINDS_TWICE, ON_A_WALL_LINE, non_unimodular_between()]
         for f in fans:
             assert_charts_match_reference(f)
 

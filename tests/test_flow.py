@@ -269,6 +269,42 @@ class TestVerifyLimit:
         assert flow.vanishing_pattern(rep) == (0, 2)
 
 
+class TestForwardFlow:
+    """For r_final > 0 the flow of xi runs into the stratum of -xi."""
+
+    def test_cp2_converges_into_the_opposite_ray(self):
+        rep = flow.verify_limit(CP2, (1, 1), ones((0, 2)), r_final=3.0)
+        assert rep.predicted_stratum == (2,)
+        assert rep.converged and rep.residual < 1e-6
+
+    def test_stratum_of_minus_xi_from_any_chart(self):
+        rep = flow.verify_limit(CP2, (1, 1), ones((0, 1)), r_final=3.0)
+        assert rep.predicted_stratum == flow.limit_stratum(CP2, (-1, -1)) == (2,)
+        assert rep.converged
+        assert 2 in rep.numeric_limit.chart
+
+    def test_limit_direction(self):
+        assert flow.limit_direction((1, -2), -10.0) == (1, -2)
+        assert flow.limit_direction((1, -2), 0.0) == (1, -2)
+        assert flow.limit_direction((1, Fraction(-1, 3)), 2.5) == (-1, Fraction(1, 3))
+
+    @pytest.mark.parametrize("name", sorted(complete_builtins()))
+    def test_forward_is_backward_of_minus_xi(self, name):
+        # exp(2 pi r <xi, a>) is the same float for (r, xi) and (-r, -xi),
+        # and both runs target the stratum of -xi, so the reports agree
+        f = complete_builtins()[name]
+        rng = random.Random(3)
+        charts = [c for c in f.maximal_cones if len(c) == f.ambient_dim]
+        for _ in range(6):
+            xi = tuple(rng.randint(-3, 3) for _ in range(f.ambient_dim))
+            start = flow.chart_point(rng.choice(charts),
+                                     [rng.uniform(0.3, 0.9) for _ in range(f.ambient_dim)])
+            minus = tuple(-t for t in xi)
+            forward = flow.verify_limit(f, xi, start, r_final=4.0)
+            assert forward == flow.verify_limit(f, minus, start, r_final=-4.0)
+            assert forward.predicted_stratum == flow.limit_stratum(f, minus)
+
+
 class TestTrajectorySamples:
     def test_rows_cover_segments(self):
         d = flow.direction((1, -1))

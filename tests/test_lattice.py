@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,41 @@ class TestDet:
             )
         )
         assert lattice.det(rows) == perm_det(rows)
+
+
+class TestIntegralEntries:
+    """Non-integral entries are rejected, never truncated."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: lattice.vec((1, 2.5)),
+        lambda: lattice.primitive((2.7, 0)),
+        lambda: lattice.det(((2, 0), (0, Fraction(1, 2)))),
+        lambda: lattice.mat(((1, 0), (0.5, 1))),
+        lambda: lattice.dual_basis(((1, 0), (0, 1.0000001))),
+        lambda: lattice.hnf(((1, "2"),)),
+        lambda: lattice.vec(("3",)),
+    ])
+    def test_non_integral_raises(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_integral_values_are_converted(self):
+        assert lattice.det(((2.0, 0), (0, Fraction(4, 2)))) == 4
+        assert lattice.primitive((4.0, Fraction(6))) == (2, 3)
+        v = lattice.vec((1.0, True, Fraction(-3, 1)))
+        assert v == (1, 1, -3) and all(type(x) is int for x in v)
+
+    @given(matrices)
+    @settings(max_examples=50)
+    def test_int_rows_pass_unchanged(self, rows):
+        m = lattice.mat(rows)
+        assert m == tuple(map(tuple, rows))
+        assert all(type(x) is int for r in m for x in r)
+        assert lattice.mat(iter(map(iter, rows))) == m
+
+    def test_ragged_matrix(self):
+        with pytest.raises(ValueError, match="ragged"):
+            lattice.mat(((1, 0), (1,)))
 
 
 class TestReturnedRows:

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
 from corpus import complete_builtins, random_unimodular, subdivision_iterates
-from toricfan import lattice, toric
+from toricfan import cli, lattice, toric
 from toricfan.errors import (
     InconsistentData,
     MalformedInput,
@@ -13,6 +14,7 @@ from toricfan.errors import (
     NotUnimodular,
 )
 from toricfan.fan import fans_equal, make_fan, sigma, validate
+from toricfan.formats import dump_fan
 from toricfan.library import cp1, cpn, hirzebruch, quadrant
 
 CP2 = cpn(2)
@@ -182,6 +184,77 @@ class TestWeightData:
     def test_shape_checked(self):
         with pytest.raises(MalformedInput):
             toric.WeightData(2, (toric.WeightBasis("p", ((1,),)),))
+
+    @pytest.mark.parametrize("rows", [((1, 0), (0, 1.5)), ((1, 0), (0, Fraction(1, 2))),
+                                      ((1, 0), (0, "1"))])
+    def test_non_integral_entry_rejected(self, rows):
+        with pytest.raises(MalformedInput):
+            toric.WeightBasis("p", rows)
+
+    def test_integral_values_of_other_types_accepted(self):
+        assert toric.WeightBasis("p", ((1.0, 0), (0, Fraction(-2, 2)))).dim == 2
+
+
+@pytest.fixture
+def proofs(monkeypatch):
+    """Counts the calls of lattice.det and lattice.dual_basis."""
+    calls = {"det": 0, "dual_basis": 0}
+    for name in calls:
+        def counting(*args, _original=getattr(lattice, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(lattice, name, counting)
+    return calls
+
+
+def fresh(f):
+    """The same fan with no chart computed yet."""
+    return make_fan(f.rays, f.maximal_cones)
+
+
+COMPLETE = list(complete_builtins().values()) + subdivision_iterates()
+
+
+class TestProofCounts:
+    """Each chart is proven once, by the walk, and read everywhere else."""
+
+    def test_weights_after_validate_prove_nothing(self, proofs):
+        for f in map(fresh, COMPLETE):
+            assert validate(f).ok
+            assert proofs["dual_basis"] == 1 and proofs["det"] == 0, f
+            data = toric.weight_data_from_fan(f)
+            assert [b.weights for b in data.bases] == [f.charts[c] for c in toric.fixed_points(f)]
+            assert proofs["dual_basis"] == 1 and proofs["det"] == 0, f
+            proofs.update(det=0, dual_basis=0)
+
+    def test_atlas_command_proves_one_chart(self, proofs, tmp_path, capsys):
+        for k, f in enumerate(COMPLETE):
+            path = tmp_path / f"{k}.fan"
+            path.write_text(dump_fan(f))
+            proofs.update(det=0, dual_basis=0)
+            assert cli.main(["atlas", str(path), "--format", "machine"]) == 0
+            assert proofs == {"det": 0, "dual_basis": 1}, f
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("f", [cpn(10), subdivision_iterates(rounds=10, bases=("cp3",))[-1]],
+                             ids=["cp10", "cp3-chain-10"])
+    def test_weights_of_a_fresh_fan_walk_the_charts(self, f, proofs):
+        f = fresh(f)
+        data = toric.weight_data_from_fan(f)
+        assert proofs == {"det": 0, "dual_basis": 1}
+        assert len(data.bases) == len(f.maximal_cones)
+
+    def test_chart_bases_equal_checked_ones(self):
+        for f in COMPLETE:
+            for c in toric.fixed_points(f):
+                basis = toric.isotropy_weights(f, c)
+                assert basis == toric.WeightBasis(basis.fixed_point_id, basis.weights)
+
+    def test_non_unimodular_cone_still_raises(self):
+        f = make_fan([(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(NotUnimodular, match=r"\|det\| = 2"):
+            toric.weight_data_from_fan(f)
 
 
 class TestReconstruction:
