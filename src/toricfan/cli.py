@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from operator import mul
 
 from . import flow, library, toric
 from .errors import (
@@ -206,22 +207,39 @@ def cmd_atlas(args) -> int:
     if not _require_valid(fan, out):
         return 1
     charts = toric.fixed_points(fan)
-    for c in charts:
+    labels = [_fmt_cone(c) for c in charts]
+    weights = []
+    for c, label in zip(charts, labels):
         basis = toric.isotropy_weights(fan, c)
+        weights.append(basis.weights)
         rows = " ".join(map(_fmt_vec, basis.weights))
-        out.both("chart", _fmt_cone(c), rows,
-                 text=f"fixed point {basis.fixed_point_id}: chart {{{_fmt_cone(c)}}}, weights {rows}")
-    maps = {(c, d): toric.transition(fan, c, d) for c in charts for d in charts}
-    for (c, d), m in maps.items():
-        rows = ";".join([",".join(map(str, row)) for row in m.exponents])
-        out.both("transition", _fmt_cone(c), _fmt_cone(d), rows,
-                 text=f"transition {{{_fmt_cone(c)}}} -> {{{_fmt_cone(d)}}}: {rows}")
-    # The map from a to b is A_b G_a^T.  If every A_c G_c^T is the identity,
-    # then G_c^T A_c is too, so M_{b->c} M_{a->b} = M_{a->c} and
-    # M_{b->a} M_{a->b} = I for all a, b, c.  Conversely those identities at
-    # a = b = c give M_{c->c}^2 = M_{c->c} = I: the m checks decide the cocycle.
+        out.both("chart", label, rows,
+                 text=f"fixed point {basis.fixed_point_id}: chart {{{label}}}, weights {rows}")
+    # The map from c to d is M_{c->d} = A_d G_c^T: its rows are the weight
+    # rows of d paired with the generators of c.  The lines of one source
+    # chart are built from G_c and the charts printed above, each distinct
+    # weight row paired with G_c once, and written together; so beyond the
+    # output only O(m n) rows and their pairings are held.
+    #
+    # If every A_c G_c^T is the identity, then G_c^T A_c is too, so
+    # M_{b->c} M_{a->b} = M_{a->c} and M_{b->a} M_{a->b} = I for all a, b, c.
+    # Conversely those identities at a = b = c give M_{c->c}^2 = M_{c->c} = I:
+    # the m diagonal checks by toric.transition decide the cocycle.
     identity = toric.MonomialMap.identity(fan.ambient_dim).exponents
-    ok = all(maps[c, c].exponents == identity for c in charts)
+    distinct = dict.fromkeys(a for rows in weights for a in rows)
+    if out.machine:
+        heads = [f"transition {label} " for label in labels]
+        targets = [f"{label} " for label in labels]
+    else:
+        heads = [f"transition {{{label}}} -> {{" for label in labels]
+        targets = [f"{label}}}: " for label in labels]
+    ok = True
+    for c, head in zip(charts, heads):
+        gens = fan.generators(c)
+        paired = {a: ",".join([str(sum(map(mul, a, g))) for g in gens]) for a in distinct}
+        sys.stdout.write("".join([f"{head}{target}{';'.join(map(paired.__getitem__, rows))}\n"
+                                  for target, rows in zip(targets, weights)]))
+        ok = toric.transition(fan, c, c).exponents == identity and ok
     out.both("cocycle", str(ok).lower(),
              text=f"cocycle identities: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1

@@ -617,9 +617,12 @@ def is_complete_raycast(f: Fan, samples: int = 10000, seed: int = 0):
     finds those that some chart's weight rows all pair nonnegatively
     with, by exact big-integer arithmetic on packed fields of
     _field_width(charts) bytes: the least w with B * sum|a_k| < 2^(8w-1)
-    for every weight row a.  Each sample no chart covers is then tried,
-    in order, on the cones without a chart by the exact test of
-    support_contains.  The charts are read once per call, memory is
+    for every weight row a.  Each coordinate column is packed and centred
+    once, so a row costs one addition per nonzero entry (a product only
+    for entries other than 1 and -1), and every field holds its pairing
+    offset by 2^(8w-1) with no carry.  Each sample no chart covers is
+    then tried, in order, on the cones without a chart by the exact test
+    of support_contains.  The charts are read once per call, memory is
     bounded by the chunk, and an incomplete fan stops at the first chunk
     that holds a witness.
     """
@@ -687,30 +690,38 @@ def _chart_cover(charts, block: bytes, n: int, w: int) -> bytes:
     when the sample pairs nonnegatively with every weight row of some
     chart, 0 otherwise.
 
-    Coordinate column j is packed into one integer P_j with the byte of
-    sample s in the w-byte field s, so P_j holds v_sj + B.  For a row a,
-    sum_j a_j P_j + (2^(8w-1) - B sum_j a_j) * ONES holds <a, v_s> +
-    2^(8w-1) in field s, with no carry since |<a, v_s>| < 2^(8w-1), and
-    the top bit of a field is set exactly when <a, v_s> >= 0.  The masks
-    of those top bits are ANDed over a chart's rows and ORed over charts.
+    Coordinate column j is packed with the byte of sample s in the w-byte
+    field s and centred once: C_j = P_j - B * ONES, a signed-digit integer
+    whose field s holds v_sj.  For a row a, HIGH + sum_j a_j C_j, with
+    HIGH = 2^(8w-1) * ONES, holds <a, v_s> + 2^(8w-1) in field s.  That
+    lies in [0, 2^(8w)) since |<a, v_s>| <= B sum|a_j| < 2^(8w-1) by
+    _field_width, so no field carries into or borrows from the next, and
+    the top bit of a field is set exactly when <a, v_s> >= 0.  A
+    coefficient of 1 or -1 adds or subtracts the column with no product.
+    The masks of those top bits are ANDed over a chart's rows and ORed
+    over charts.
     """
     k = len(block) // n
     size = k * w
+    ones = int.from_bytes(b"\x01".ljust(w, b"\x00") * k, "little")
+    offset = RAYCAST_BOUND * ones
     columns = []
     for j in range(n):
         packed = bytearray(size)
         packed[::w] = block[j::n]
-        columns.append(int.from_bytes(packed, "little"))
-    ones = int.from_bytes(b"\x01".ljust(w, b"\x00") * k, "little")
-    half = 1 << (8 * w - 1)
-    high = ones * half
+        columns.append(int.from_bytes(packed, "little") - offset)
+    high = ones << (8 * w - 1)
     covered = 0
     for rows in charts:
         mask = high
         for row in rows:
-            total = (half - RAYCAST_BOUND * sum(row)) * ones
+            total = high
             for a, column in zip(row, columns):
-                if a:
+                if a == 1:
+                    total += column
+                elif a == -1:
+                    total -= column
+                elif a:
                     total += a * column
             mask &= total
             if not mask:

@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -1000,6 +1001,36 @@ class TestRaycastKernel:
         for bound_rows, width in [([(1, 0)], 1), ([(1, 1)], 2), ([(337, 0)], 2),
                                   ([(338, 0)], 3), ([(10 ** 6, 1)], 4)]:
             assert fan_module._field_width([bound_rows]) == width
+
+    @staticmethod
+    @st.composite
+    def kernel_inputs(draw):
+        """Charts of n rows with entries up to a drawn bound (field widths
+        1 to 4), and a block of k samples with entries in [-B, B]."""
+        n = draw(st.integers(1, 6))
+        bound = draw(st.sampled_from([1, 2, 400, 10 ** 6]))
+        row = st.tuples(*[st.integers(-bound, bound)] * n)
+        charts = draw(st.lists(st.lists(row, min_size=n, max_size=n), min_size=1, max_size=3))
+        k = draw(st.sampled_from([1, 2, 37, TestRaycastKernel.CHUNK - 1,
+                                  TestRaycastKernel.CHUNK, TestRaycastKernel.CHUNK + 1]))
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        block = bytes(rng.randrange(2 * 97 + 1) for _ in range(k * n))
+        return charts, block, n
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(kernel_inputs())
+    def test_chart_cover_matches_exact_signs(self, inputs):
+        """Each sample is covered exactly when some chart's rows all pair
+        nonnegatively with it, by exact dot products."""
+        charts, block, n = inputs
+        width = fan_module._field_width(charts)
+        assert 1 <= width <= 4
+        covered = fan_module._chart_cover(charts, block, n, width)
+        samples = [[b - 97 for b in block[i:i + n]] for i in range(0, len(block), n)]
+        assert covered == bytes(
+            0x80 if any(all(sum(map(operator.mul, row, v)) >= 0 for row in rows)
+                        for rows in charts) else 0
+            for v in samples)
 
 
 class TestStarSubdivide:

@@ -1,0 +1,89 @@
+"""The atlas rung: time `toricfan atlas` on one large fan from a source tree.
+
+    python3 tools/atlas_rung.py TREE K [--format text|machine]
+
+Builds cp3 chain K, cpn(3) after K seeded star subdivisions
+(perfbench/exact.subdivision_chain with random.Random(0), 2K + 4 maximal
+cones), writes it to a scratch file, and runs `toricfan atlas` on it from
+TREE/src in a child process, as a user would run the CLI.  The child's
+stdout is read through a pipe and hashed as it arrives, so the output
+never sits in memory.  Prints one line: the wall seconds from the child's
+start to its exit, the output's bytes and MD5, the child's peak resident
+set (ru_maxrss), and its exit code.  Two trees agree on the atlas when
+their bytes and MD5 agree.
+
+Standard library only; the fan comes from the perfbench/ next to this
+script, so every tree gets the same input, and nothing under perfbench/
+is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+import exact  # noqa: E402 - perfbench's fan builder
+import workloads  # noqa: E402 - perfbench's fan document writer
+
+
+def chain_document(k: int) -> str:
+    return workloads.fan_document(exact.subdivision_chain(exact.cpn(3), k, random.Random(0)))
+
+
+def run(tree: str, k: int, fmt: str) -> dict:
+    """Run the atlas of cp3 chain k from TREE/src in a child process."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    scratch = tempfile.mkdtemp(prefix="atlas-rung-")
+    try:
+        path = os.path.join(scratch, f"cp3-chain-{k}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(chain_document(k))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        digest, size = hashlib.md5(), 0
+        start = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "toricfan", "atlas", path, "--format", fmt],
+                                 stdout=subprocess.PIPE, env=env, cwd=scratch)
+        while chunk := child.stdout.read(1 << 16):
+            digest.update(chunk)
+            size += len(chunk)
+        child.stdout.close()
+        _, status, usage = os.wait4(child.pid, 0)
+        seconds = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return {"k": k, "format": fmt, "seconds": seconds, "bytes": size,
+            "md5": digest.hexdigest(), "maxrss_mb": usage.ru_maxrss / 1024,
+            "exit": child.returncode}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("tree", help="a toricfan source tree (a directory holding src/toricfan)")
+    parser.add_argument("k", type=int, help="star subdivisions of cpn(3)")
+    parser.add_argument("--format", choices=("text", "machine"), default="text")
+    args = parser.parse_args(argv)
+    if not os.path.isfile(os.path.join(args.tree, "src", "toricfan", "__init__.py")):
+        parser.error(f"no toricfan sources under {args.tree}/src")
+    if args.k < 0:
+        parser.error("K must be at least 0")
+    r = run(args.tree, args.k, args.format)
+    print(f"cp3 chain {r['k']} atlas --format {r['format']}: {r['seconds']:.3f} s, "
+          f"{r['bytes']} bytes, md5 {r['md5']}, maxrss {r['maxrss_mb']:.1f} MB, exit {r['exit']}")
+    return 0 if r["exit"] == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
