@@ -6,9 +6,9 @@ cones and a map from each ray to the maximal cones holding it.  A set
 of rays is a cone of the fan when some maximal cone holds all of them,
 so the face closure (2^k faces of a cone of k rays) is built only when
 Fan.cones or Sigma's faces are read.  Each cone's facet description is
-computed once and cached on the fan for every layer to read; the charts
-of the maximal cones come from a walk across their walls.  Axiom
-checking, the facet-pairing completeness criterion, the ray-casting
+cached on the fan for every layer to read; the charts of the maximal
+cones are stored once, in Fan.charts, by a walk across their walls.
+Axiom checking, the facet-pairing completeness criterion, the ray-casting
 completeness oracle, and star subdivision all live here.
 """
 
@@ -38,7 +38,6 @@ from .errors import (
 )
 
 IndexSet = tuple[int, ...]
-_MISSING = object()  # cache-miss marker; a cached chart may be None
 
 
 class Fan:
@@ -66,7 +65,6 @@ class Fan:
             raise MalformedInput(f"rays {missing} appear in no maximal cone")
         self._table = table
         self._sigma = sigma
-        self._weight_cache: dict[IndexSet, tuple | None] = {}
         self._description_cache: dict[IndexSet, tuple] = {}
 
     @property
@@ -155,42 +153,44 @@ class Fan:
 
     @cached_property
     def charts(self) -> dict[IndexSet, tuple | None]:
-        """Each maximal cone, in order, mapped to its chart_weights (None
-        for a cone without a chart); built on first use, so loops over
-        the maximal cones read every chart once per fan.
+        """Each maximal cone, in order, mapped to its chart: the integer
+        dual basis of its generators (None for a cone without one).  The
+        one store of the charts, built on first use; chart_weights and
+        every other layer read it.
 
         The charts are found by a walk across the walls of _neighbours,
-        the wall-crossing rule of adjacent fixed points.  A Hermite normal
-        form (lattice.dual_basis) runs only on a cone no walk has reached
-        yet; a unimodular one seeds a walk, and each neighbour's dual
-        basis follows from the current cone's by _cross_wall in O(n^2).
-        A neighbour that is not unimodular gets None and is not crossed;
-        the cones beyond it get their own seed.  So a complete unimodular
-        fan costs one HNF.  Entries already in the chart_weights cache are
-        read, not redone.
+        the wall-crossing rule of adjacent fixed points.  Each
+        full-dimensional cone no walk has reached yet seeds one with a
+        Hermite normal form (lattice.dual_basis); from a unimodular cone,
+        each neighbour's dual basis follows by _cross_wall in O(n^2).  A
+        neighbour that is not unimodular gets None and is not crossed; the
+        cones beyond it get their own seed.  So a complete unimodular fan
+        costs one HNF.
         """
-        cache = self._weight_cache
+        n = self.ambient_dim
         neighbours = self._neighbours
         rays = self._table.rays
-        walked = set()
+        found: dict[IndexSet, tuple | None] = {}
         for seed in self.maximal_cones:
-            if seed in walked or self.chart_weights(seed) is None:
+            if seed in found:
                 continue
-            walked.add(seed)
+            found[seed] = None
+            if len(seed) != n:
+                continue
+            try:
+                found[seed] = lattice.dual_basis(self.generators(seed))
+            except NotUnimodular:
+                continue
             stack = [seed]
             while stack:
                 c = stack.pop()
-                rows = cache[c]
+                rows = found[c]
                 for i, d, p in neighbours[c]:
-                    if d in walked:
-                        continue
-                    chart = cache.get(d, _MISSING)
-                    if chart is _MISSING:
-                        chart = cache[d] = _cross_wall(rows, i, rays[d[p]], p)
-                    if chart is not None:
-                        walked.add(d)
-                        stack.append(d)
-        return {c: cache[c] for c in self.maximal_cones}
+                    if d not in found:
+                        found[d] = _cross_wall(rows, i, rays[d[p]], p)
+                        if found[d] is not None:
+                            stack.append(d)
+        return {c: found[c] for c in self.maximal_cones}
 
     @cached_property
     def _facet_verdict(self) -> tuple[bool, FacetReport]:
@@ -216,40 +216,31 @@ class Fan:
         return tuple([rays[i] for i in indices])
 
     def chart_weights(self, indices):
-        """Dual basis rows of a full-dimensional unimodular cone, cached;
-        None when the cone is lower-dimensional or not unimodular.
+        """The chart of a full-dimensional unimodular maximal cone, read
+        from `charts` for any spelling of its ray indices; None for any
+        other index set.
 
         Row i pairs to 1 with the i-th generator in ascending ray-index
         order and to 0 with the others: these are the isotropy weights of
-        the cone's fixed point and its facet normals.  A miss runs one
-        Hermite normal form (lattice.dual_basis); `charts` fills this same
-        cache for all maximal cones, mostly without one.
+        the cone's fixed point and its facet normals.  No Hermite form
+        runs here.
         """
-        hit = self._weight_cache.get(indices, _MISSING) if type(indices) is tuple else _MISSING
-        if hit is not _MISSING:  # a sorted tuple seen before: no sorting
-            return hit
-        idx = tuple(sorted(indices))
-        if idx not in self._weight_cache:
-            w = None
-            if len(idx) == self.ambient_dim:
-                try:
-                    w = lattice.dual_basis(self.generators(idx))
-                except NotUnimodular:
-                    pass
-            self._weight_cache[idx] = w
-        return self._weight_cache[idx]
+        charts = self.charts
+        if type(indices) is not tuple or indices not in charts:
+            indices = tuple(sorted(indices))
+        return charts.get(indices)
 
     def description(self, indices):
         """Facet normals and span equations (ineqs, eqns) of the cone over
         `indices`, whose generators must be independent; cached.
 
-        A full-dimensional unimodular cone's normals are its integer dual
-        basis (chart_weights) and it has no equations; any other cone gets
+        A full-dimensional unimodular maximal cone's normals are its chart
+        (chart_weights) and it has no equations; any other cone gets
         cone.halfspace_description, from one Smith form of its generators,
         which agrees with that dual basis wherever both apply.
         """
-        hit = self._description_cache.get(indices, _MISSING) if type(indices) is tuple else _MISSING
-        if hit is not _MISSING:
+        hit = self._description_cache.get(indices) if type(indices) is tuple else None
+        if hit is not None:
             return hit
         idx = tuple(sorted(indices))
         if idx not in self._description_cache:
@@ -541,7 +532,10 @@ def support_contains(f: Fan, v):
     or None when v lies outside the support of the fan.
 
     v may have integer or Fraction entries; all arithmetic is exact.
+    MalformedInput when v does not have ambient_dim entries.
     """
+    if len(v) != f.ambient_dim:
+        raise MalformedInput(f"expected {f.ambient_dim} entries, got {len(v)}")
     for c, weights in f.charts.items():
         if weights is not None:
             pairings = []

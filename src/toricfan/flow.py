@@ -25,6 +25,7 @@ from operator import mul
 
 from . import lattice
 from .errors import (
+    MalformedInput,
     NonFiniteState,
     NotComplete,
     NotMaximal,
@@ -116,6 +117,8 @@ def limit_direction(xi, r_final: float):
 
 def pairing_rates(weights: WeightBasis, d: Direction):
     """Exact pairings (<u, alpha_j>, <v, alpha_j>) per chart coordinate."""
+    if any(v is not None and len(v) != weights.dim for v in (d.xi, d.angular)):
+        raise MalformedInput(f"the direction needs {weights.dim} entries")  # zip would truncate
     u = [lattice.dot(d.xi, row) for row in weights.weights]
     if d.angular is None:
         v = [Fraction(0)] * len(u)
@@ -321,6 +324,10 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
     chart = tuple(sorted(start.chart))
     if not f.is_maximal(chart) or len(chart) != n:
         raise NotMaximal(f"start chart {set(start.chart)} is not a full-dimensional cone")
+    if any(v is not None and len(v) != n for v in (start.coords, d.xi, d.angular)):
+        raise MalformedInput(f"the start and the direction need {n} entries each")
+    if not all(cmath.isfinite(z) for z in start.coords):
+        raise MalformedInput("start coordinates must be finite")
     if any(z == 0 for z in start.coords):
         raise ZeroCoordinateStart("start must lie in the free orbit (no zero coordinate)")
 

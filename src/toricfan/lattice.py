@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import NotUnimodular, ZeroVector
 
@@ -294,7 +294,8 @@ def dual_basis(g) -> Matrix:
     U = G^{-1} and A = (G^{-1})^T = U^T.  A square Hermite form is the
     identity when its diagonal is all ones: a nonzero (t, t) entry for
     every t puts each pivot on the diagonal, and the entries above a
-    pivot of 1 are reduced to 0.
+    pivot of 1 are reduced to 0.  That form is upper triangular, so the
+    product of its diagonal is the |det G| that NotUnimodular reports.
     """
     g = mat(g)
     n = len(g)
@@ -302,7 +303,7 @@ def dual_basis(g) -> Matrix:
         raise ValueError("dual basis needs a square nonempty matrix")
     h, u = _hnf(g)
     if any(h[t][t] != 1 for t in range(n)):
-        raise NotUnimodular(f"|det| = {abs(det(g))}, expected 1")
+        raise NotUnimodular(f"|det| = {prod(h[t][t] for t in range(n))}, expected 1")
     return transpose(u)
 
 

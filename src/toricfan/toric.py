@@ -43,7 +43,7 @@ class WeightBasis:
     @classmethod
     def of_chart(cls, fixed_point_id: str, weights: Matrix) -> "WeightBasis":
         """The basis of rows a fan has proven a Z-basis (a chart, see
-        Fan.chart_weights), built without the det check."""
+        Fan.charts), built without the det check."""
         basis = object.__new__(cls)
         object.__setattr__(basis, "fixed_point_id", fixed_point_id)
         object.__setattr__(basis, "weights", weights)
@@ -112,19 +112,17 @@ def chart_label(indices) -> str:
 
 
 def weight_matrix(f: Fan, cone_indices) -> Matrix:
-    """The fan's cached dual basis of a full-dimensional maximal cone: the
+    """The chart of a full-dimensional maximal cone (Fan.charts): the
     rows of its fixed point's weight basis.  Raises NotMaximal for any
-    other index set and NotUnimodular when the cone has no dual basis."""
+    other index set and NotUnimodular when the cone has no chart."""
     c = tuple(sorted(cone_indices))
     if not f.is_maximal(c) or len(c) != f.ambient_dim:
         raise NotMaximal(
             f"{set(c) if c else '{}'} is not a "
             "full-dimensional maximal cone"
         )
-    weights = f.chart_weights(c)
-    if weights is None:
-        raise NotUnimodular(f"|det| = {abs(lattice.det(f.generators(c)))}, expected 1")
-    return weights
+    # a cone without a chart is not unimodular: dual_basis raises with its |det|
+    return f.charts[c] or lattice.dual_basis(f.generators(c))
 
 
 def isotropy_weights(f: Fan, cone_indices) -> WeightBasis:
@@ -231,8 +229,7 @@ def fan_from_weight_data(data: WeightData) -> Fan:
         cones.append(cone)
         charts[cone] = tuple(row for _, row in sorted(zip(indices, basis.weights)))
     result = make_fan(rays, cones, dim=data.dim)
-    # the proven dual bases, keyed and ordered as chart_weights caches them
-    result._weight_cache.update(charts)
+    result.charts = {c: charts[c] for c in result.maximal_cones}
     report = validate(result)
     if not report.ok:
         raise InconsistentData(

@@ -167,11 +167,11 @@ def atlas_records(path, capsys):
 
 
 def swap_first_chart_rows(f):
-    """Swap the first two weight rows cached for the first chart: the
+    """Swap the first two weight rows stored for the first chart: the
     rows stay a Z-basis, but no longer pair to 1 with their generators."""
     c = toric.fixed_points(f)[0]
     rows = f.chart_weights(c)
-    f._weight_cache[c] = (rows[1], rows[0]) + rows[2:]
+    f.charts[c] = (rows[1], rows[0]) + rows[2:]
 
 
 class TestAtlas:
@@ -331,6 +331,16 @@ class TestLimit:
     def test_non_finite_r_rejected(self, cp2_file, value, capsys):
         assert main(["limit", cp2_file, "--xi=1,-1", f"--r={value}"]) == 2
         assert "--r must be a finite number" in capsys.readouterr().err
+
+    def test_non_finite_start_rejected(self, cp2_file, capsys):
+        for value in ["nan,1", "inf,1", "1,-inf", "nan+1j,1"]:
+            assert main(["limit", cp2_file, "--xi=1,2", f"--start={value}"]) == 2, value
+            assert "start coordinates must be finite" in capsys.readouterr().err
+        # a huge start is finite: still tracked and judged
+        assert main(["limit", cp2_file, "--xi=1,2", "--start=1e300,1",
+                     "--format", "machine"]) == 1
+        recs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        assert recs["chart"] == "0,1" and recs["converged"] == "false"
 
     @pytest.mark.parametrize("value", ["0", "-1", "-1e-3", "nan", "inf", "-inf"])
     def test_bad_tol_rejected(self, cp2_file, value, capsys):

@@ -2,7 +2,7 @@ import operator
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +19,7 @@ from corpus import (
 from oracles import brute_validate
 from toricfan import cone as cone_module
 from toricfan import fan as fan_module
-from toricfan import lattice
+from toricfan import lattice, toric
 from toricfan.cone import halfspace_description, intersect_generators
 from toricfan.errors import (
     DegenerateSubdivision,
@@ -229,6 +229,21 @@ class TestDescriptionCache:
             assert list(f.charts) == list(f.maximal_cones)
             assert all(rows is f.chart_weights(c) for c, rows in f.charts.items())
             assert f.charts is f.charts
+
+    def test_full_dimensional_non_cones_have_no_chart(self, dual_basis_calls):
+        # star subdivision of cp2 at {0,1}: (1,0), (0,1) stay a Z-basis,
+        # but {0,1} is no longer a cone
+        f = star_subdivide(CP2, (0, 1))
+        assert not f.is_maximal((0, 1)) and f.chart_weights((0, 1)) is None
+        unimodular = 0
+        for f in store_corpus():
+            f.charts
+            del dual_basis_calls[:]
+            for idx in non_cones(f):
+                assert f.chart_weights(idx) is None and f.chart_weights(idx[::-1]) is None
+                unimodular += abs(lattice.det(f.generators(idx))) == 1
+            assert dual_basis_calls == [], f
+        assert unimodular > 50
 
 
 class TestSeparationCertificate:
@@ -490,6 +505,59 @@ def non_unimodular_between():
     return make_fan([(1, 0), (0, 1), (-2, 1), (-1, 0)], [(0, 1), (1, 2), (2, 3)])
 
 
+def drop_one_fans(fans):
+    """Each fan with one maximal cone dropped, where every ray stays used."""
+    out = []
+    for f in fans:
+        for gone in f.maximal_cones:
+            try:
+                out.append(make_fan(f.rays, [c for c in f.maximal_cones if c != gone]))
+            except MalformedInput:
+                pass
+    return out
+
+
+def store_corpus():
+    complete = list(complete_builtins().values()) + subdivision_iterates()
+    fans = complete + drop_one_fans(complete) + incomplete_fans() + invalid_fans()
+    fans += [make_fan(f.rays, f.maximal_cones) for f in (WINDS_TWICE, ON_A_WALL_LINE)]
+    return fans + [non_unimodular_between(),
+                   make_fan([(2, 1, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                            [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])]
+
+
+def expected_seeds(f):
+    """The cones Fan.charts proves by a Hermite form, in order, from |det|
+    and wall adjacency alone.  The unimodular full-dimensional cones fall
+    into pieces joined across walls, each seeded at its first cone; a cone
+    that is not unimodular is seeded unless a piece seeded before it
+    reaches it across a wall (then the crossing settles it)."""
+    full = [c for c in f.maximal_cones if len(c) == f.ambient_dim]
+    unimodular = {c for c in full if abs(lattice.det(f.generators(c))) == 1}
+    adjacent = brute_neighbours(f)
+    first = {}
+    for c in full:
+        if c in unimodular and c not in first:
+            first[c], stack = c, [c]
+            while stack:
+                for _, d, _ in adjacent[stack.pop()]:
+                    if d in unimodular and d not in first:
+                        first[d] = c
+                        stack.append(d)
+    order = {c: k for k, c in enumerate(f.maximal_cones)}
+    return [c for c in full
+            if (first[c] == c if c in unimodular else
+                not any(d in unimodular and order[first[d]] < order[c]
+                        for _, d, _ in adjacent[c]))]
+
+
+def non_cones(f, limit=200):
+    """Up to `limit` index sets of ambient_dim rays that are no maximal cone."""
+    n = f.ambient_dim
+    return [idx for idx in islice(combinations(range(f.ray_count), n), limit)
+            if not f.is_maximal(idx)]
+
+
 @pytest.fixture
 def dual_basis_calls(monkeypatch):
     """Counts the Hermite normal forms run by lattice.dual_basis."""
@@ -557,6 +625,42 @@ class TestChartWalk:
         assert all(f.charts[c] is rows for c, rows in kept.items())
         assert len(dual_basis_calls) == calls
         assert_charts_match_reference(f)
+
+    def test_one_hermite_form_per_walk_seed(self, dual_basis_calls):
+        """Read through charts or through chart_weights under any spelling
+        of each cone, a fan proves exactly its walk seeds."""
+        rng = random.Random(3)
+        seeded = 0
+        for f in store_corpus():
+            seeds = [f.generators(c) for c in expected_seeds(f)]
+            del dual_basis_calls[:]
+            f.charts
+            assert dual_basis_calls == seeds, f
+            g = make_fan(f.rays, f.maximal_cones)
+            del dual_basis_calls[:]
+            read = [(c, g.chart_weights(spelling)) for c in g.maximal_cones
+                    for spelling in (list(c), tuple(rng.sample(c, len(c))), c)]
+            assert dual_basis_calls == seeds, f
+            assert all(rows is g.charts[c] for c, rows in read)
+            seeded += len(seeds) > 1
+        assert seeded  # fans that need more than one seed are among them
+
+    def test_rebuilt_fan_proves_only_the_gkm_seeds(self, dual_basis_calls):
+        complete = list(complete_builtins().values()) + subdivision_iterates()
+        for f in complete + drop_one_fans(complete):
+            data = weight_data_from_fan(f)
+            del dual_basis_calls[:]
+            toric._gkm_generators(data.bases)
+            seeds = len(dual_basis_calls)
+            del dual_basis_calls[:]
+            rebuilt = toric.fan_from_weight_data(data)
+            for c, rows in rebuilt.charts.items():
+                assert rows is not None
+                assert rebuilt.chart_weights(tuple(reversed(c))) is rows
+                assert toric.weight_matrix(rebuilt, c) is rows
+            assert all(rebuilt.chart_weights(idx) is None for idx in non_cones(rebuilt))
+            assert len(dual_basis_calls) == seeds, f
+            assert rebuilt.charts == make_fan(rebuilt.rays, rebuilt.maximal_cones).charts
 
 
 def brute_maximal(cones):

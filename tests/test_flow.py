@@ -9,6 +9,7 @@ import pytest
 from corpus import complete_builtins, subdivision_iterates
 from toricfan import cli, flow, toric
 from toricfan.errors import (
+    MalformedInput,
     NonFiniteState,
     NotComplete,
     NotMaximal,
@@ -267,6 +268,58 @@ class TestVerifyLimit:
     def test_vanishing_pattern_helper(self):
         rep = flow.verify_limit(CP2, (1, -1), ones((0, 1)), tol=1e-6)
         assert flow.vanishing_pattern(rep) == (0, 2)
+
+
+class TestMalformedVectors:
+    """A direction, angular part or start of the wrong length is rejected:
+    zip would drop the extra entries or the missing pairings silently.  A
+    start with a non-finite coordinate is rejected too; zero and huge
+    starts keep their own outcomes."""
+
+    @pytest.mark.parametrize("xi", [(1,), (1, 1, 1)])
+    def test_limit_stratum(self, xi):
+        with pytest.raises(MalformedInput, match="expected 2 entries"):
+            flow.limit_stratum(CP2, xi)
+        with pytest.raises(MalformedInput):
+            support_contains(CP2, xi)
+
+    @pytest.mark.parametrize("xi, coords", [((1, 1), (0.5,)), ((1,), (0.5,)),
+                                            ((1,), (0.5, 0.5)), ((1, 1), (0.5, 0.5, 0.5))])
+    def test_verify_limit(self, xi, coords):
+        with pytest.raises(MalformedInput):
+            flow.verify_limit(CP2, xi, flow.chart_point((0, 1), coords))
+
+    def test_track(self):
+        one = Fraction(1)
+        for d in [flow.direction((1,)), flow.direction((1, 1, 1)),
+                  flow.Direction((one, one), (one,)), flow.Direction((one, one), (one,) * 3)]:
+            with pytest.raises(MalformedInput):
+                flow.track(CP2, ones((0, 1)), d, -1.0)
+        for coords in [(0.5,), (0.5, 0.5, 0.5)]:
+            with pytest.raises(MalformedInput):
+                flow.track(CP2, flow.chart_point((0, 1), coords), flow.direction((1, 1)), -1.0)
+
+    def test_pairing_rates(self):
+        one = Fraction(1)
+        for d in [flow.direction((1,)), flow.direction((1, 1, 1)),
+                  flow.Direction((one, one), (one,))]:
+            with pytest.raises(MalformedInput):
+                flow.pairing_rates(STD_WEIGHTS, d)
+            with pytest.raises(MalformedInput):
+                flow.curve_point(STD_WEIGHTS, ones((0, 1)), d, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(1, math.nan), complex(math.inf, 1)])
+    def test_non_finite_start(self, bad):
+        start = flow.chart_point((0, 1), (bad, 1.0))
+        with pytest.raises(MalformedInput, match="finite"):
+            flow.track(CP2, start, flow.direction((1, 2)), -10.0)
+        with pytest.raises(MalformedInput, match="finite"):
+            flow.verify_limit(CP2, (1, 2), start)
+        with pytest.raises(ZeroCoordinateStart):
+            flow.verify_limit(CP2, (1, 2), flow.chart_point((0, 1), (0.0, 1.0)))
+        huge = flow.verify_limit(CP2, (1, 2), flow.chart_point((0, 1), (1e300, 1.0)))
+        assert huge.numeric_limit.chart == (0, 1) and not huge.converged
 
 
 class TestForwardFlow:
