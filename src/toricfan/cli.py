@@ -273,14 +273,15 @@ def cmd_limit(args) -> int:
         coords = (1.0 + 0.0j,) * fan.ambient_dim
     start = flow.chart_point(chart, coords)
     d = flow.direction(xi)
-    segments = flow.track(fan, start, d, args.r)
-    report = flow.limit_verdict(fan, stratum, segments, args.tol)
+    segments = flow.track(fan, start, d, args.r, stratum)
+    report = flow.limit_verdict(fan, stratum, segments, xi, args.tol)
     out.both("stratum", _fmt_cone(report.predicted_stratum),
              text=f"limit stratum: {{{_fmt_cone(report.predicted_stratum)}}}")
     pt = report.numeric_limit
     coord_text = " ".join(f"{z.real:.3e}{z.imag:+.3e}j" for z in pt.coords)
     out.both("chart", _fmt_cone(pt.chart), text=f"final chart: {{{_fmt_cone(pt.chart)}}}")
-    out.both("limit", coord_text, text=f"numeric limit at r = {args.r}: {coord_text}")
+    out.both("limit", coord_text, text=f"numeric limit at r = {report.horizon}: {coord_text}")
+    out.record("horizon", report.horizon)
     out.both("residual", f"{report.residual:.3e}",
              text=f"residual: {report.residual:.3e} (tolerance {args.tol:g})")
     out.both("converged", str(report.converged).lower(),
@@ -307,6 +308,11 @@ def cmd_lib(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The full parser, and the parser of each subcommand by name."""
     parser = argparse.ArgumentParser(
         prog="toricfan",
         description="Unimodular fans, toric manifold data, and torus flows.",
@@ -370,10 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(run=cmd_lib)
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = None
+# built once per process; parse_args keeps no state
+_PARSERS = None
 
 # options whose values may begin with "-", such as the direction -1,1
 SIGNED_VALUE_OPTIONS = frozenset(("--xi", "--chart", "--start", "--tol", "--r"))
@@ -394,11 +401,26 @@ def _attach_signed_values(argv) -> list[str]:
     return out
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The full parser's namespace for argv, from the subcommand's own
+    parser when argv[0] names one: the full parser would hand it argv[1:]
+    anyway, and its help and usage errors come from that parser too.  The
+    full parser runs when argv[0] names no subcommand or arguments are
+    left over, so its help and its errors keep their text."""
+    global _PARSERS
+    if _PARSERS is None:
+        _PARSERS = _build_parsers()
+    parser, subparsers = _PARSERS
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()  # built once per process; parse_args keeps no state
-    args = _PARSER.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
+    args = _parse(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.run(args)
     except USAGE_ERRORS as e:

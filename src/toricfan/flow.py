@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
 from operator import mul
@@ -56,7 +56,7 @@ def direction(xi, angular=None) -> Direction:
     x = tuple(Fraction(t) for t in xi)
     a = None if angular is None else tuple(Fraction(t) for t in angular)
     if a is not None and len(a) != len(x):
-        raise ValueError("angular part has a different length than xi")
+        raise MalformedInput("angular part has a different length than xi")
     return Direction(x, a)
 
 
@@ -85,10 +85,15 @@ class TrajectorySegment:
 
 @dataclass(frozen=True)
 class LimitReport:
+    """A verdict on a flow limit.  `horizon` is the flow time r at which
+    numeric_limit is taken (see limit_verdict); equality compares the
+    verdict and the point only."""
+
     predicted_stratum: IndexSet
     numeric_limit: ChartPoint
     residual: float
     converged: bool
+    horizon: float = field(compare=False)
 
 
 def integer_direction(v) -> tuple[tuple[int, ...], int]:
@@ -287,7 +292,8 @@ def _dominated(rows, estimate, bound: float) -> bool:
     return False
 
 
-def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[TrajectorySegment]:
+def track(f: Fan, start: ChartPoint, d: Direction, r_final: float,
+          stratum=None) -> list[TrajectorySegment]:
     """Follow the flow from r = 0 to r_final across charts.
 
     Within a chart the closed form is used, so switch times are exact
@@ -315,6 +321,9 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
     The direction is scaled once to an integer vector xi' = L*xi, so the
     exact pairings with a chart's weights are integers p, and the rates
     p / L are the correctly rounded floats of the rational pairings.
+
+    The target stratum is that of limit_direction(d.xi, r_final); a
+    caller that has computed it hands it in as `stratum`.
     """
     threshold = 1.0 + POLYDISC_MARGIN
     n = f.ambient_dim
@@ -333,7 +342,9 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
 
     forward = r_final > 0
     xi, scale = integer_direction(d.xi)
-    target = set(limit_stratum(f, limit_direction(xi, r_final)) or ())
+    if stratum is None:
+        stratum = limit_stratum(f, limit_direction(xi, r_final))
+    target = set(stratum or ())
     if d.angular is None:
         angular = None
     else:
@@ -402,16 +413,18 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float) -> list[Traje
 def verify_limit(f: Fan, xi, start: ChartPoint, tol: float = DEFAULT_TOL,
                  r_final: float = R_AT_INFINITY) -> LimitReport:
     """Numerically confirm the limit classification of a direction: track
-    the flow of xi to r_final and judge the end with limit_verdict,
-    against the stratum of limit_direction(xi, r_final)."""
+    the flow of xi to r_final and judge the end with limit_verdict at its
+    closed-form horizon, against the stratum of limit_direction(xi,
+    r_final).  The stratum is computed once, here, and handed to track."""
     stratum = limit_stratum(f, limit_direction(xi, r_final))
-    segments = track(f, start, direction(xi), r_final)
-    return limit_verdict(f, stratum, segments, tol)
+    segments = track(f, start, direction(xi), r_final, stratum)
+    return limit_verdict(f, stratum, segments, xi, tol)
 
 
-def limit_verdict(f: Fan, stratum, segments, tol: float = DEFAULT_TOL) -> LimitReport:
-    """The verdict on tracked segments: limit_report, judged in a chart
-    that holds the predicted stratum.
+def limit_verdict(f: Fan, stratum, segments, xi, tol: float = DEFAULT_TOL) -> LimitReport:
+    """The verdict on segments tracked along the flow of xi: limit_report,
+    judged in a chart that holds the predicted stratum, at the closed-form
+    horizon of that flow.
 
     A final chart that misses the stratum has no coordinates dual to some
     of its rays, so its pattern says nothing about them.  Then the end
@@ -421,11 +434,25 @@ def limit_verdict(f: Fan, stratum, segments, tol: float = DEFAULT_TOL) -> LimitR
     divides by zero or overflows is skipped; when every one is, the end
     is reported in its own chart, not converged, with an infinite
     residual.
+
+    In a chart sigma holding the stratum tau the flow of xi is known in
+    closed form (the orbit-cone correspondence, Fulton, Introduction to
+    Toric Varieties, 1993, 3.1): xi pairs to 0 with sigma's rows off tau,
+    so those coordinates are constant, and tau's decay at the exact rates
+    p_j / L.  Each judged point is moved along that closed form from the
+    segments' end r_final to the horizon min(r_final, r*), r* the largest
+    r at which every coordinate of tau is below tol / 10; for r_final > 0,
+    where tau is the stratum of -xi, to max(r_final, r*) with r* the least
+    such r.  An end at r_final = 0, or with a coordinate of tau that is
+    not finite, is judged where it is.  The report's horizon is the r of
+    its point.
     """
+    scaled = integer_direction(xi)
     last = segments[-1]
+    r_final = last.r_end
     inside = set(stratum)
     if inside <= set(last.chart):
-        return limit_report(stratum, segments, tol)
+        return _at_horizon(f, stratum, last.endpoint, r_final, scaled, tol)
     best = None
     for sigma in fixed_points(f):
         if inside <= set(sigma):
@@ -434,20 +461,49 @@ def limit_verdict(f: Fan, stratum, segments, tol: float = DEFAULT_TOL) -> LimitR
                 coords = to_sigma.apply(last.end)
             except (ZeroDivisionError, OverflowError):
                 continue
-            report = _judge(stratum, ChartPoint(sigma, coords), tol)
+            report = _at_horizon(f, stratum, ChartPoint(sigma, coords), r_final, scaled, tol)
             if best is None or report.residual < best.residual:
                 best = report
-    return best or LimitReport(stratum, last.endpoint, math.inf, False)
+    return best or LimitReport(stratum, last.endpoint, math.inf, False, r_final)
+
+
+def _at_horizon(f: Fan, stratum, point: ChartPoint, r_final: float, scaled,
+                tol: float) -> LimitReport:
+    """_judge the point, reached at r_final in a chart holding the
+    stratum, at its horizon (see limit_verdict); scaled is
+    integer_direction(xi)."""
+    if not stratum or r_final == 0 or not math.isfinite(r_final):
+        return _judge(stratum, point, tol, r_final)
+    xi, scale = scaled
+    rates = [(p / scale, 0.0)
+             for p in _pairings(f.charts.get(point.chart) or weight_matrix(f, point.chart), xi)]
+    forward = r_final > 0
+    target = math.log(tol / 10)
+    horizon = r_final
+    inside = set(stratum)
+    for ray, (u, _), z in zip(point.chart, rates, point.coords):
+        if ray not in inside:
+            continue
+        mod = math.hypot(z.real, z.imag)
+        if not mod < math.inf or (u >= 0 if forward else u <= 0):
+            return _judge(stratum, point, tol, r_final)  # no decay to extend
+        if mod > 0:
+            r_j = r_final + (target - math.log(mod)) / (TWO_PI * u)
+            horizon = max(horizon, r_j) if forward else min(horizon, r_j)
+    if horizon != r_final:
+        point = ChartPoint(point.chart, _closed_form(rates, point.coords, horizon - r_final))
+    return _judge(stratum, point, tol, horizon)
 
 
 def limit_report(stratum, segments, tol: float = DEFAULT_TOL) -> LimitReport:
     """Check the coordinate pattern at the end of tracked segments against
     a predicted stratum, in the final chart (see _judge).  limit_verdict
     judges in a chart that holds the stratum."""
-    return _judge(stratum, segments[-1].endpoint, tol)
+    last = segments[-1]
+    return _judge(stratum, last.endpoint, tol, last.r_end)
 
 
-def _judge(stratum, point: ChartPoint, tol: float) -> LimitReport:
+def _judge(stratum, point: ChartPoint, tol: float, horizon: float) -> LimitReport:
     """Coordinates of the point's chart dual to the rays of the stratum
     must be below tol in modulus, all others bounded away from zero.  The
     residual is the largest must-vanish modulus, or infinity when some
@@ -468,6 +524,7 @@ def _judge(stratum, point: ChartPoint, tol: float) -> LimitReport:
         numeric_limit=point,
         residual=residual,
         converged=residual <= tol,
+        horizon=horizon,
     )
 
 

@@ -97,6 +97,10 @@ def dump_fan(f: Fan) -> str:
 
 
 def parse_weight_data(text) -> WeightData:
+    """Parse a weight document.  Only its shape is checked here: each
+    basis is built without a det (WeightBasis.of_chart), and
+    toric.fan_from_weight_data proves every basis on its GKM walk, raising
+    NotUnimodular for one that is not a Z-basis."""
     doc = _document(text, "weight data")
     dim = _dim_of(doc)
     records = doc.get("fixed_points")
@@ -120,7 +124,7 @@ def parse_weight_data(text) -> WeightData:
                     f"fixed point {k}: weight {list(cov)} has length {len(cov)}, expected {dim}"
                 )
             weights.append(cov)
-        bases.append(WeightBasis(label, tuple(weights)))
+        bases.append(WeightBasis.of_chart(label, tuple(weights)))
     return WeightData(dim, tuple(bases))
 
 

@@ -42,8 +42,9 @@ class WeightBasis:
 
     @classmethod
     def of_chart(cls, fixed_point_id: str, weights: Matrix) -> "WeightBasis":
-        """The basis of rows a fan has proven a Z-basis (a chart, see
-        Fan.charts), built without the det check."""
+        """The basis of the given rows, built without the det check: for
+        rows a fan has proven a Z-basis (a chart, see Fan.charts), and for
+        parsed weight data, which fan_from_weight_data proves."""
         basis = object.__new__(cls)
         object.__setattr__(basis, "fixed_point_id", fixed_point_id)
         object.__setattr__(basis, "weights", weights)
@@ -163,11 +164,26 @@ class QuotientPresentation:
 
 
 def quotient_presentation(f: Fan) -> QuotientPresentation:
+    """The quotient presentation, its kernel read off a chart.
+
+    Let sigma be the first maximal cone with a chart, rays s_1..s_n and
+    dual rows a_k.  Every ray v is sum_k <a_k, v> v_{s_k}, so for each ray
+    r outside sigma, e_r - sum_k <a_k, v_r> e_{s_k} lies in the kernel of
+    the ray matrix.  These r - n vectors are a Z-basis of it: an integer
+    kernel vector minus their combination with its own entries outside
+    sigma is a kernel vector supported on sigma, hence 0.  sigma's rays
+    span the lattice, so the component group is trivial (Cox, J.
+    Algebraic Geom. 4, 1995).  That is O(r n^2); a fan with no chart gets
+    one Smith form of the transposed ray matrix, for its kernel and the
+    invariant factors it shares with the ray matrix.
+    """
     rays = f.rays
-    # one Smith form of the transposed ray matrix: its kernel, and the
-    # invariant factors it shares with the ray matrix
-    kernel, factors = (lattice.kernel_and_invariant_factors(lattice.transpose(rays))
-                       if rays else ((), ()))
+    chart = next(((c, rows) for c, rows in f.charts.items() if rows is not None), None)
+    if chart is not None:
+        kernel, factors = _chart_kernel(rays, *chart), ()
+    else:
+        kernel, factors = (lattice.kernel_and_invariant_factors(lattice.transpose(rays))
+                           if rays else ((), ()))
     return QuotientPresentation(
         ray_count=f.ray_count,
         ray_matrix=rays,
@@ -175,6 +191,25 @@ def quotient_presentation(f: Fan) -> QuotientPresentation:
         component_group=tuple(d for d in factors if d > 1),
         allowed_zero_sets=sigma(f),
     )
+
+
+def _chart_kernel(rays, cone: IndexSet, rows: Matrix) -> tuple[Vector, ...]:
+    """The kernel basis of quotient_presentation from the chart `rows` of
+    the sorted `cone`, one vector per ray outside the cone, each
+    sign-normalized (first nonzero entry positive) as the Smith form's are."""
+    inside = set(cone)
+    kernel = []
+    for r, v in enumerate(rays):
+        if r in inside:
+            continue
+        k = [0] * len(rays)
+        k[r] = 1
+        for s, a in zip(cone, rows):
+            k[s] = -sum(map(mul, a, v))
+        if next((k[s] for s in cone if s < r and k[s]), 1) < 0:
+            k = [-x for x in k]
+        kernel.append(tuple(k))
+    return tuple(kernel)
 
 
 def weight_data_from_fan(f: Fan) -> WeightData:
@@ -203,9 +238,12 @@ def fan_from_weight_data(data: WeightData) -> Fan:
     contributes the cone spanned by its dual basis, found by a walk on
     the GKM graph (_gkm_generators).  Its weights, in ascending ray order,
     are that cone's chart, so the rebuilt fan is handed its charts and
-    validate runs no Hermite form.  Raises InconsistentData when two fixed
-    points produce the same cone or the assembled cones violate a fan
-    axiom (then the data does not come from a toric manifold).
+    validate runs no Hermite form.  The walk proves every basis, so the
+    data need not be checked first (formats.parse_weight_data does not):
+    it raises NotUnimodular, with its |det|, for a basis that is not a
+    Z-basis.  Raises InconsistentData when two fixed points produce the
+    same cone or the assembled cones violate a fan axiom (then the data
+    does not come from a toric manifold).
     """
     ray_index: dict[Vector, int] = {}
     rays: list[Vector] = []
@@ -250,8 +288,11 @@ def _gkm_generators(bases) -> list[Matrix]:
     distinct k != i, which a dictionary of p's rows finds.  If so, q's
     generators are p's with g_i traded for g' = -g_i + sum_k alpha_k g_k:
     every b pairs to 1 with its g_k and to 0 with the others, and -a_i to
-    1 with g' only.  That proves B_q G_q^T = I, so they are q's dual basis.
-    A fixed point no such step reaches seeds a walk of its own.
+    1 with g' only.  That proves B_q G_q^T = I, so they are q's dual basis,
+    once the k are checked distinct (then q's rows are a Z-basis too).  A
+    fixed point no such step reaches seeds a walk of its own, where
+    lattice.dual_basis raises NotUnimodular, naming the fixed point and
+    its |det|, unless its rows are a Z-basis.
     """
     rows = [tuple(map(tuple, basis.weights)) for basis in bases]
     holders: dict[Vector, list[tuple[int, int]]] = {}
@@ -262,7 +303,11 @@ def _gkm_generators(bases) -> list[Matrix]:
     for seed, seed_rows in enumerate(rows):
         if generators[seed] is not None:
             continue
-        generators[seed] = lattice.dual_basis(seed_rows)
+        try:
+            generators[seed] = lattice.dual_basis(seed_rows)
+        except NotUnimodular as e:
+            raise NotUnimodular(
+                f"weights at {bases[seed].fixed_point_id} are not a Z-basis: {e}") from None
         stack = [seed]
         while stack:
             p = stack.pop()
@@ -282,18 +327,20 @@ def _across(q_rows, j: int, a_i, i: int, p_gens, position):
     """Generators of the fixed point with weight rows q_rows, whose j-th
     row is -a_i, from the generators p_gens of a neighbour with rows
     indexed by `position`, a_i its i-th; None unless every other row b of
-    q is some a_k + <b, g_i> a_i (see _gkm_generators).  The k are then
-    distinct and differ from i, since q's rows are a basis."""
+    q is some a_k + <b, g_i> a_i for distinct k (see _gkm_generators).
+    No k is i: b = (1 + alpha) a_i would pair to 1 + alpha with g_i."""
     g_i = p_gens[i]
     g_new = [-x for x in g_i]
     out = [None] * len(q_rows)
+    used = set()
     for m, b in enumerate(q_rows):
         if m == j:
             continue
         alpha = sum(map(mul, b, g_i))
         k = position.get(tuple(x - alpha * y for x, y in zip(b, a_i)) if alpha else b)
-        if k is None:
+        if k is None or k in used:
             return None
+        used.add(k)
         out[m] = g_k = p_gens[k]
         if alpha:
             g_new = [x + alpha * y for x, y in zip(g_new, g_k)]

@@ -336,11 +336,13 @@ class TestLimit:
         for value in ["nan,1", "inf,1", "1,-inf", "nan+1j,1"]:
             assert main(["limit", cp2_file, "--xi=1,2", f"--start={value}"]) == 2, value
             assert "start coordinates must be finite" in capsys.readouterr().err
-        # a huge start is finite: still tracked and judged
+        # a huge start is finite: still tracked, and judged at the horizon
+        # where it reaches the fixed point {0, 1}
         assert main(["limit", cp2_file, "--xi=1,2", "--start=1e300,1",
-                     "--format", "machine"]) == 1
+                     "--format", "machine"]) == 0
         recs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
-        assert recs["chart"] == "0,1" and recs["converged"] == "false"
+        assert recs["chart"] == "0,1" and recs["converged"] == "true"
+        assert float(recs["horizon"]) < flow.R_AT_INFINITY
 
     @pytest.mark.parametrize("value", ["0", "-1", "-1e-3", "nan", "inf", "-inf"])
     def test_bad_tol_rejected(self, cp2_file, value, capsys):
@@ -405,6 +407,7 @@ class TestLimit:
             "stratum " + ",".join(map(str, report.predicted_stratum)),
             "chart " + ",".join(map(str, pt.chart)),
             "limit " + " ".join(f"{z.real:.3e}{z.imag:+.3e}j" for z in pt.coords),
+            f"horizon {report.horizon}",
             f"residual {report.residual:.3e}",
             "converged true",
         ]
@@ -467,6 +470,38 @@ class TestParserReuse:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert build_parser() is not build_parser()
+
+
+def parsed(parse, argv, capsys):
+    """The namespace parse gives for argv, or its exit code and the text
+    it wrote."""
+    try:
+        return vars(parse(list(argv)))
+    except SystemExit as e:
+        return e.code, capsys.readouterr()
+
+
+class TestSubcommandParsers:
+    """cli.main parses with the subcommand's own parser; the namespace,
+    the help and every usage error are those of the full parser."""
+
+    ARGVS = [
+        [], ["-h"], ["--help"], ["frobnicate"], ["--format", "machine", "validate", "f"],
+        ["validate", "f"], ["validate", "f", "--format", "machine"], ["validate", "-h"],
+        ["validate"], ["validate", "f", "g"], ["validate", "f", "--format", "bogus"],
+        ["validate", "--", "f"], ["validate", "f", "--frob"], ["validate", "f", "--form=machine"],
+        ["complete", "f", "--oracle", "facet", "--samples", "5", "--seed=-3"],
+        ["complete", "f", "--samples", "many"], ["weights", "f", "-o", "out"],
+        ["reconstruct", "w"], ["reconstruct", "w", "-o"], ["quotient", "f", "--format", "machine"],
+        ["atlas", "f", "x"], ["limit", "f", "--xi=-1,1", "--r=-3", "--chart", "0,1"],
+        ["limit", "f"], ["limit", "f", "--xi"], ["limit", "f", "--xi=1,1", "--bogus", "2"],
+        ["lib", "cpn", "3"], ["lib", "subdivided", "cpn", "2", "--cone", "0,1", "-o", "x"],
+        ["lib"], ["lib", "-h"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_as_the_full_parser(self, argv, capsys):
+        assert parsed(cli._parse, argv, capsys) == parsed(build_parser().parse_args, argv, capsys)
 
 
 class TestLib:

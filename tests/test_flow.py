@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import complete_builtins, subdivision_iterates
 from toricfan import cli, flow, toric
@@ -299,6 +301,10 @@ class TestMalformedVectors:
             with pytest.raises(MalformedInput):
                 flow.track(CP2, flow.chart_point((0, 1), coords), flow.direction((1, 1)), -1.0)
 
+    def test_direction(self):
+        with pytest.raises(MalformedInput, match="angular part"):
+            flow.direction((1, 1), (1,))
+
     def test_pairing_rates(self):
         one = Fraction(1)
         for d in [flow.direction((1,)), flow.direction((1, 1, 1)),
@@ -318,8 +324,11 @@ class TestMalformedVectors:
             flow.verify_limit(CP2, (1, 2), start)
         with pytest.raises(ZeroCoordinateStart):
             flow.verify_limit(CP2, (1, 2), flow.chart_point((0, 1), (0.0, 1.0)))
+        # a huge start is finite: its flow reaches the fixed point {0, 1}
+        # at the horizon, far beyond r = -10
         huge = flow.verify_limit(CP2, (1, 2), flow.chart_point((0, 1), (1e300, 1.0)))
-        assert huge.numeric_limit.chart == (0, 1) and not huge.converged
+        assert huge.predicted_stratum == huge.numeric_limit.chart == (0, 1)
+        assert huge.converged and huge.horizon < flow.R_AT_INFINITY
 
 
 class TestForwardFlow:
@@ -467,7 +476,7 @@ def reference_verify(f, xi, start, tol=flow.DEFAULT_TOL, r_final=flow.R_AT_INFIN
             elif abs(coord) < tol:
                 residual = math.inf
         return flow.LimitReport(stratum, flow.ChartPoint(chart, coords), residual,
-                                residual <= tol)
+                                residual <= tol, r_final)
 
     if set(stratum) <= set(last.chart):
         return judged(last.chart, last.end)
@@ -479,7 +488,58 @@ def reference_verify(f, xi, start, tol=flow.DEFAULT_TOL, r_final=flow.R_AT_INFIN
             except (ZeroDivisionError, OverflowError):
                 pass
     if not reports:
-        return flow.LimitReport(stratum, last.endpoint, math.inf, False)
+        return flow.LimitReport(stratum, last.endpoint, math.inf, False, r_final)
+    return min(reports, key=lambda rep: rep.residual)
+
+
+def reference_closed_form_verify(f, xi, start, tol=flow.DEFAULT_TOL,
+                                 r_final=flow.R_AT_INFINITY):
+    """verify_limit by its definition: tracks with reference_track, then
+    takes the end into the final chart when it holds the stratum tau of
+    limit_direction(xi, r_final), else by one transition into each
+    full-dimensional cone holding tau; there it runs the chart's closed
+    form (curve_point) on to the horizon, where every coordinate of tau
+    is below tol / 10, and judges.  The cone with the smallest residual
+    wins, the first on a tie."""
+    stratum = support_contains(f, tuple(Fraction(t) for t in flow.limit_direction(xi, r_final)))
+    d = flow.direction(xi)
+    last = reference_track(f, start, d, r_final)[-1]
+
+    def judged(chart, coords):
+        weights = toric.isotropy_weights(f, chart)
+        rates = flow.pairing_rates(weights, d)
+        decaying = [(float(u), z) for ray, (u, _), z in zip(chart, rates, coords)
+                    if ray in stratum]
+        horizon = r_final
+        if r_final != 0 and all(cmath.isfinite(z) for _, z in decaying):
+            crossings = [r_final + (math.log(tol / 10) - math.log(abs(z))) / (2 * math.pi * u)
+                         for u, z in decaying if z != 0]
+            horizon = max([r_final] + crossings) if r_final > 0 else min([r_final] + crossings)
+        if horizon != r_final:
+            coords = flow.curve_point(weights, flow.ChartPoint(chart, coords), d,
+                                      horizon - r_final).coords
+        residual = 0.0
+        for ray, coord in zip(chart, coords):
+            if not cmath.isfinite(coord):
+                residual = math.inf
+            elif ray in stratum:
+                residual = max(residual, abs(coord))
+            elif abs(coord) < tol:
+                residual = math.inf
+        return flow.LimitReport(stratum, flow.ChartPoint(chart, coords), residual,
+                                residual <= tol, horizon)
+
+    if set(stratum) <= set(last.chart):
+        return judged(last.chart, last.end)
+    reports = []
+    for c in f.maximal_cones:
+        if len(c) == f.ambient_dim and set(stratum) <= set(c):
+            try:
+                reports.append(judged(c, toric.transition(f, last.chart, c).apply(last.end)))
+            except (ZeroDivisionError, OverflowError):
+                pass
+    if not reports:
+        return flow.LimitReport(stratum, last.endpoint, math.inf, False, r_final)
     return min(reports, key=lambda rep: rep.residual)
 
 
@@ -542,8 +602,11 @@ class TestTrackMatchesReference:
             d = flow.direction(xi)
             assert outcome(flow.track, f, start, d, r_final) == \
                 outcome(reference_track, f, start, d, r_final), (name, xi, start)
-            assert outcome(flow.verify_limit, f, xi, start) == \
-                outcome(reference_verify, f, xi, start), (name, xi, start)
+            got = outcome(flow.verify_limit, f, xi, start, flow.DEFAULT_TOL, r_final)
+            want = outcome(reference_closed_form_verify, f, xi, start, flow.DEFAULT_TOL, r_final)
+            assert got == want, (name, xi, start, r_final)
+            if got[0] == "ok":
+                assert got[1].horizon == want[1].horizon, (name, xi, start, r_final)
             compared += 1
         assert compared >= 10
 
@@ -595,7 +658,7 @@ class TestVerdictInAChartHoldingTheStratum:
         assert rep.predicted_stratum == (41,)
         assert rep.numeric_limit.chart == (41, 42)
         assert rep.converged and 0 < rep.residual < 1e-27
-        assert rep == flow.limit_verdict(f, (41,), segments)
+        assert rep == flow.limit_verdict(f, (41,), segments, xi)
 
     def test_k40_through_the_cli(self, tmp_path, capsys):
         f, xi, start = k40_case()
@@ -615,7 +678,7 @@ class TestVerdictInAChartHoldingTheStratum:
     ])
     def test_maps_into_cones_holding_the_stratum(self, end, chart):
         seg = flow.TrajectorySegment((1, 2), 0.0, -10.0, (1, 1), tuple(map(complex, end)))
-        rep = flow.limit_verdict(CP2, (0,), [seg])
+        rep = flow.limit_verdict(CP2, (0,), [seg], CP2.rays[0])
         assert rep.numeric_limit.chart == chart
         assert rep.residual == math.inf and not rep.converged
 
@@ -624,24 +687,27 @@ class TestVerdictInAChartHoldingTheStratum:
         # 1, and both maps into the cones holding ray 1 overflow
         seg = flow.TrajectorySegment((2, 3), 0.0, -10.0, (1, 1), (1 + 0j, 1e300 + 0j))
         assert flow.limit_report((1,), [seg]).converged
-        rep = flow.limit_verdict(k_fan(), (1,), [seg])
+        rep = flow.limit_verdict(k_fan(), (1,), [seg], k_fan().rays[1])
         assert rep.numeric_limit == seg.endpoint
         assert rep.residual == math.inf and not rep.converged
 
     def test_converged_only_in_a_chart_holding_the_stratum(self):
         judged = 0
-        for name, f, xi, start, _ in differential_cases():
+        for name, f, xi, start, r_final in differential_cases():
             try:
-                segments = flow.track(f, start, flow.direction(xi), flow.R_AT_INFINITY)
+                segments = flow.track(f, start, flow.direction(xi), r_final)
             except Exception:
                 continue
-            stratum = flow.limit_stratum(f, xi)
-            rep = flow.verify_limit(f, xi, start)
-            assert rep == flow.limit_verdict(f, stratum, segments)
+            stratum = flow.limit_stratum(f, flow.limit_direction(xi, r_final))
+            rep = flow.verify_limit(f, xi, start, r_final=r_final)
+            assert rep == flow.limit_verdict(f, stratum, segments, xi)
             if rep.converged:
                 assert set(stratum) <= set(rep.numeric_limit.chart), (name, xi, start)
             if set(stratum) <= set(segments[-1].chart):
-                assert rep == flow.limit_report(stratum, segments), (name, xi, start)
+                # judged in the final chart, moved along it to the horizon
+                assert rep.numeric_limit.chart == segments[-1].chart, (name, xi, start)
+                if rep.horizon == r_final:
+                    assert rep == flow.limit_report(stratum, segments), (name, xi, start)
                 judged += 1
         assert judged >= 100
 
@@ -680,6 +746,103 @@ class TestChartSwitching:
             reference_verify(f, (2, 1), start)
         with pytest.raises(NotUnimodular):
             flow.verify_limit(f, (2, 1), flow.chart_point((0, 1), (0.5, 0.5)))
+
+
+HORIZON_FANS = list(complete_builtins().values()) + subdivision_iterates() + [k_fan()]
+
+
+class TestClosedFormHorizon:
+    """verify_limit judges at the closed-form horizon of the flow."""
+
+    @staticmethod
+    def draw(f, seed):
+        rng = random.Random(seed)
+        n = f.ambient_dim
+        xi = rng.choice(sample_directions(n, rng))
+        start = flow.chart_point(rng.choice(toric.fixed_points(f)), tuple(
+            cmath.rect(10.0 ** rng.uniform(-3, 3), rng.uniform(0.0, 2 * math.pi))
+            for _ in range(n)))
+        return xi, start, rng.choice((flow.R_AT_INFINITY, -1.0, 3.0))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.sampled_from(HORIZON_FANS), st.integers(0, 10 ** 6))
+    def test_judged_point_is_the_tracked_end_at_the_horizon(self, f, seed):
+        xi, start, r_final = self.draw(f, seed)
+        d = flow.direction(xi)
+        try:
+            last = flow.track(f, start, d, r_final)[-1]
+        except (NonFiniteState, TrackingError):
+            return
+        rep = flow.verify_limit(f, xi, start, r_final=r_final)
+        stratum = rep.predicted_stratum
+        if rep.horizon == r_final:
+            return
+        assert (rep.horizon < r_final) == (r_final < 0)
+        if not set(stratum) <= set(last.chart):
+            return
+        # the final chart holds the stratum: no event lies past r_final
+        end = flow.track(f, start, d, rep.horizon)[-1]
+        assert end.chart == rep.numeric_limit.chart == last.chart
+        for a, b in zip(end.end, rep.numeric_limit.coords):
+            assert cmath.isclose(a, b, rel_tol=1e-12, abs_tol=1e-300), (xi, start, r_final)
+        # every coordinate of the stratum is at most tol / 10 there
+        pt = rep.numeric_limit
+        assert all(abs(z) <= flow.DEFAULT_TOL / 10 * (1 + 1e-9)
+                   for ray, z in zip(pt.chart, pt.coords) if ray in stratum)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.sampled_from(HORIZON_FANS), st.integers(0, 10 ** 6))
+    def test_converged_in_a_chart_holding_the_stratum(self, f, seed):
+        xi, start, r_final = self.draw(f, seed)
+        try:
+            rep = flow.verify_limit(f, xi, start, r_final=r_final)
+        except (NonFiniteState, TrackingError):
+            return
+        if rep.converged:
+            pt = rep.numeric_limit
+            assert set(rep.predicted_stratum) <= set(pt.chart)
+            assert all(cmath.isfinite(z) for z in pt.coords)
+
+    def test_rescaled_direction_reaches_its_limit(self):
+        # at r = -10 the flow of xi / 1000 has barely moved; at the
+        # horizon it is as close to the fixed point as that of xi
+        xi = (Fraction(1, 1000), Fraction(2, 1000))
+        rep = flow.verify_limit(CP2, xi, ones((0, 1)))
+        assert rep.converged and rep.predicted_stratum == (0, 1)
+        assert rep.residual <= flow.DEFAULT_TOL / 10 * (1 + 1e-9)
+        assert rep.horizon < -1000 * 2
+        coarse = flow.limit_report((0, 1), flow.track(CP2, ones((0, 1)), flow.direction(xi), -10.0))
+        assert not coarse.converged and coarse.horizon == -10.0
+
+    def test_horizon_reported_by_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "cp2.fan"
+        path.write_text(dump_fan(CP2))
+        assert cli.main(["limit", str(path), "--xi=1/1000,1/500", "--format", "machine"]) == 0
+        recs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        rep = flow.verify_limit(CP2, (Fraction(1, 1000), Fraction(1, 500)), ones((0, 1)))
+        assert (recs["converged"], float(recs["horizon"])) == ("true", rep.horizon)
+        assert cli.main(["limit", str(path), "--xi=1/1000,1/500"]) == 0
+        assert f"numeric limit at r = {rep.horizon}: " in capsys.readouterr().out
+
+    def test_stratum_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(flow, "support_contains",
+                            lambda f, v: calls.append(v) or support_contains(f, v))
+        for r_final in (flow.R_AT_INFINITY, 3.0):
+            del calls[:]
+            rep = flow.verify_limit(CP2, (1, Fraction(1, 2)), ones((0, 2)), r_final=r_final)
+            assert len(calls) == 1 and rep.converged
+
+    def test_runs_through_the_public_functions(self, monkeypatch):
+        # span tracers wrap the module's public names, so verify_limit
+        # must reach the stratum, the tracking and the verdict through them
+        calls = []
+        for name in ("limit_stratum", "track", "limit_verdict"):
+            original = getattr(flow, name)
+            monkeypatch.setattr(flow, name, lambda *args, _fn=original, _name=name:
+                                calls.append(_name) or _fn(*args))
+        assert flow.verify_limit(CP2, (1, 2), ones((0, 1))).converged
+        assert calls == ["limit_stratum", "track", "limit_verdict"]
 
 
 class TestNonFiniteLimit:

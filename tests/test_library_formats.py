@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import random_unimodular
-from toricfan import lattice
+from toricfan import lattice, toric
 
-from toricfan.errors import BadParam, DegenerateSubdivision, MalformedInput, UnknownBuiltin
+from toricfan.errors import (
+    BadParam,
+    DegenerateSubdivision,
+    MalformedInput,
+    NotUnimodular,
+    UnknownBuiltin,
+)
 from toricfan.fan import fans_equal, is_complete_facet, make_fan, validate
 from toricfan.formats import dump_fan, dump_weight_data, parse_fan, parse_weight_data
 from toricfan.library import builtin_fan, cp1, cpn, hirzebruch, quadrant
@@ -137,6 +143,18 @@ class TestWeightFormat:
             parse_weight_data(
                 '{"dim": 2, "fixed_points": [{"id": "p", "weights": [[1, 0]]}]}'
             )
+
+    def test_parsing_proves_nothing(self, monkeypatch):
+        # fan_from_weight_data proves every basis on its walk, so parsing
+        # runs no det; a non-basis parses and is refused there
+        calls = []
+        monkeypatch.setattr(lattice, "det", lambda m: calls.append(m))
+        data = parse_weight_data(dump_weight_data(weight_data_from_fan(cpn(3))))
+        assert calls == [] and data == weight_data_from_fan(cpn(3))
+        bad = parse_weight_data('{"dim": 2, "fixed_points": [{"id": "p", "weights": [[2, 0], [0, 1]]}]}')
+        assert bad.bases[0].weights == ((2, 0), (0, 1)) and calls == []
+        with pytest.raises(NotUnimodular, match=r"\|det\| = 2"):
+            toric.fan_from_weight_data(bad)
 
     def test_rejects_empty(self):
         with pytest.raises(MalformedInput):

@@ -127,17 +127,33 @@ class TestQuotientPresentation:
         assert q.component_group == ()
 
     def test_one_smith_form(self, monkeypatch):
-        fans = list(complete_builtins().values()) + [quadrant(2), quadrant(3)]
+        """A fan with a chart gets its kernel basis from the chart, with no
+        Smith form: a basis of the Smith form's kernel lattice (its
+        invariant factors are all 1, so it spans a saturated lattice of
+        the same rank).  A fan without a chart gets one Smith form."""
+        charted = list(complete_builtins().values()) + subdivision_iterates() + [
+            quadrant(2), quadrant(3), make_fan([(1, 0), (0, 1), (1, 2)], [(0, 1), (1, 2)])]
+        chartless = [make_fan([(1, 0), (1, 2)], [(0, 1)]),
+                     make_fan([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(0, 1), (1, 2)]),
+                     make_fan([], [()], dim=2)]
         expected = [(lattice.integer_kernel_basis(lattice.transpose(f.rays)),
                      tuple(d for d in lattice.invariant_factors(f.rays) if d > 1))
-                    for f in fans]
+                    if f.rays else ((), ()) for f in charted + chartless]
         calls = []
         original = lattice.snf
         monkeypatch.setattr(lattice, "snf", lambda m: calls.append(m) or original(m))
-        for f, (kernel, group) in zip(fans, expected):
-            q = toric.quotient_presentation(f)
+        got = [toric.quotient_presentation(f) for f in charted]
+        assert calls == []
+        got += [toric.quotient_presentation(f) for f in chartless]
+        assert len(calls) == len(chartless) - 1  # no Smith form without rays
+        monkeypatch.undo()
+        for q, (kernel, group) in zip(got[:len(charted)], expected):
+            assert len(q.kernel_basis) == len(kernel) and q.component_group == group == ()
+            if kernel:
+                assert lattice.invariant_factors(q.kernel_basis) == (1,) * len(kernel)
+                assert len(lattice.invariant_factors(kernel + q.kernel_basis)) == len(kernel)
+        for q, (kernel, group) in zip(got[len(charted):], expected[len(charted):]):
             assert (q.kernel_basis, q.component_group) == (kernel, group)
-        assert len(calls) == len(fans)
 
     def test_component_group_of_a_non_unimodular_ray_matrix(self):
         f = make_fan([(1, 0), (1, 2)], [(0, 1)])
@@ -429,6 +445,19 @@ class TestGKMReconstruction:
         assert len(dual_basis_calls) == 2 + 2
         assert reconstruction_outcome(toric.fan_from_weight_data, data) == \
             reconstruction_outcome(reference_reconstruction, data)
+
+    def test_unchecked_non_bases_raise_with_their_det(self, dual_basis_calls):
+        # built as parse_weight_data builds them, without a det: q's rows
+        # (-e1, e2, e2) match p's e2 twice, so no walk step reaches q, and
+        # its own seed proves it is no Z-basis
+        p = toric.WeightBasis.of_chart("p", ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        q = toric.WeightBasis.of_chart("q", ((-1, 0, 0), (0, 1, 0), (0, 1, 0)))
+        for bases in [(p, q), (q, p)]:
+            with pytest.raises(NotUnimodular, match=r"weights at q are not a Z-basis: \|det\| = 0"):
+                toric.fan_from_weight_data(toric.WeightData(3, bases))
+        two = toric.WeightBasis.of_chart("two", ((2, 0), (0, 1)))
+        with pytest.raises(NotUnimodular, match=r"weights at two are not a Z-basis: \|det\| = 2"):
+            toric.fan_from_weight_data(toric.WeightData(2, (two,)))
 
     def test_disconnected_points_seed_their_own_walks(self, dual_basis_calls):
         data = toric.WeightData(2, (

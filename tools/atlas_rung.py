@@ -1,16 +1,18 @@
 """The atlas rung: time `toricfan atlas` on one large fan from a source tree.
 
-    python3 tools/atlas_rung.py TREE K [--format text|machine]
+    python3 tools/atlas_rung.py TREE K [--format text|machine] [--command atlas|quotient]
 
 Builds cp3 chain K, cpn(3) after K seeded star subdivisions
 (perfbench/exact.subdivision_chain with random.Random(0), 2K + 4 maximal
-cones), writes it to a scratch file, and runs `toricfan atlas` on it from
-TREE/src in a child process, as a user would run the CLI.  The child's
+cones), writes it to a scratch file, and runs `toricfan atlas` (or
+`toricfan quotient`, with --command quotient) on it from TREE/src in a
+child process, as a user would run the CLI.  The child's
 stdout is read through a pipe and hashed as it arrives, so the output
 never sits in memory.  Prints one line: the wall seconds from the child's
 start to its exit, the output's bytes and MD5, the child's peak resident
 set (ru_maxrss), and its exit code.  Two trees agree on the atlas when
-their bytes and MD5 agree.
+their bytes and MD5 agree.  (Two trees may differ in a `quotient` output
+on purpose, since it prints one kernel basis of several.)
 
 Standard library only; the fan comes from the perfbench/ next to this
 script, so every tree gets the same input, and nothing under perfbench/
@@ -42,8 +44,9 @@ def chain_document(k: int) -> str:
     return workloads.fan_document(exact.subdivision_chain(exact.cpn(3), k, random.Random(0)))
 
 
-def run(tree: str, k: int, fmt: str) -> dict:
-    """Run the atlas of cp3 chain k from TREE/src in a child process."""
+def run(tree: str, k: int, fmt: str, command: str = "atlas") -> dict:
+    """Run the command (atlas or quotient) on cp3 chain k from TREE/src in
+    a child process."""
     src = os.path.join(os.path.abspath(tree), "src")
     scratch = tempfile.mkdtemp(prefix="atlas-rung-")
     try:
@@ -53,7 +56,7 @@ def run(tree: str, k: int, fmt: str) -> dict:
         env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
         digest, size = hashlib.md5(), 0
         start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-m", "toricfan", "atlas", path, "--format", fmt],
+        child = subprocess.Popen([sys.executable, "-m", "toricfan", command, path, "--format", fmt],
                                  stdout=subprocess.PIPE, env=env, cwd=scratch)
         while chunk := child.stdout.read(1 << 16):
             digest.update(chunk)
@@ -64,7 +67,7 @@ def run(tree: str, k: int, fmt: str) -> dict:
         child.returncode = os.waitstatus_to_exitcode(status)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    return {"k": k, "format": fmt, "seconds": seconds, "bytes": size,
+    return {"k": k, "command": command, "format": fmt, "seconds": seconds, "bytes": size,
             "md5": digest.hexdigest(), "maxrss_mb": usage.ru_maxrss / 1024,
             "exit": child.returncode}
 
@@ -74,13 +77,14 @@ def main(argv=None) -> int:
     parser.add_argument("tree", help="a toricfan source tree (a directory holding src/toricfan)")
     parser.add_argument("k", type=int, help="star subdivisions of cpn(3)")
     parser.add_argument("--format", choices=("text", "machine"), default="text")
+    parser.add_argument("--command", choices=("atlas", "quotient"), default="atlas")
     args = parser.parse_args(argv)
     if not os.path.isfile(os.path.join(args.tree, "src", "toricfan", "__init__.py")):
         parser.error(f"no toricfan sources under {args.tree}/src")
     if args.k < 0:
         parser.error("K must be at least 0")
-    r = run(args.tree, args.k, args.format)
-    print(f"cp3 chain {r['k']} atlas --format {r['format']}: {r['seconds']:.3f} s, "
+    r = run(args.tree, args.k, args.format, args.command)
+    print(f"cp3 chain {r['k']} {r['command']} --format {r['format']}: {r['seconds']:.3f} s, "
           f"{r['bytes']} bytes, md5 {r['md5']}, maxrss {r['maxrss_mb']:.1f} MB, exit {r['exit']}")
     return 0 if r["exit"] == 0 else 1
 

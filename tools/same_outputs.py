@@ -7,8 +7,11 @@ Runs every operation of one perfbench workload and seed once against the
 compares the outputs operation by operation: exit code, stdout, stderr,
 every file the operation writes, the repr of a library call's return
 value (a flow.LimitReport) or of an exception that escaped, and the
-check's status.  Prints the first difference and exits with code 1, or
-prints one summary line and exits with code 0.
+check's status.  When some differ, prints one line per differing
+operation (the fields that differ), the values of the first difference
+of each operation kind, the count of differing operations per kind, and
+the check-status transitions such as `fail→ok 456`; then exits with
+code 1.  Otherwise prints one summary line and exits with code 0.
 
 The operations come from the perfbench/ next to this script, so both
 trees get the same inputs; each child runs in a scratch directory of its
@@ -104,6 +107,7 @@ def child(tree, workload, seed, result_path):
             for op in ops:
                 rec = run_op(tf, op)
                 rec["op"] = op.argv if op.argv is not None else op.kind
+                rec["kind"] = op.kind
                 handle.write(json.dumps(rec) + "\n")
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -123,16 +127,22 @@ def outputs_of(tree, workload, seed, path):
         return [json.loads(line) for line in handle]
 
 
-def first_difference(a, b):
-    """(operation index, field, value in a, value in b) of the first
-    difference, or None."""
+def differences(a, b):
+    """(operation index, the fields that differ) of every operation whose
+    outputs differ, in order."""
+    out = []
     for k, (x, y) in enumerate(zip(a, b)):
-        for name in FIELDS:
-            if x[name] != y[name]:
-                return k, name, x[name], y[name]
-    if len(a) != len(b):
-        return min(len(a), len(b)), "operation count", len(a), len(b)
-    return None
+        fields = [name for name in FIELDS if x[name] != y[name]]
+        if fields:
+            out.append((k, fields))
+    return out
+
+
+def tally(items) -> str:
+    counts = {}
+    for item in items:
+        counts[item] = counts.get(item, 0) + 1
+    return ", ".join(f"{key} {count}" for key, count in sorted(counts.items()))
 
 
 def clip(value, limit=400):
@@ -163,13 +173,26 @@ def main(argv=None):
                 for k, t in enumerate(args.trees))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    diff = first_difference(a, b)
-    if diff is not None:
-        k, name, x, y = diff
-        op = a[k]["op"] if k < len(a) else b[k]["op"]
-        print(f"{args.workload} seed {args.seed}: operation {k} {clip(op)} differs in {name}")
-        print(f"  {args.trees[0]}: {clip(x)}")
-        print(f"  {args.trees[1]}: {clip(y)}")
+    head = f"{args.workload} seed {args.seed}:"
+    diffs = differences(a, b)
+    if len(a) != len(b):
+        print(f"{head} operation count differs: {len(a)} against {len(b)}")
+    for k, fields in diffs:
+        print(f"{head} operation {k} {clip(a[k]['op'], 200)} differs in {', '.join(fields)}")
+    if diffs:
+        shown = set()
+        for k, fields in diffs:
+            if a[k]["kind"] not in shown:
+                shown.add(a[k]["kind"])
+                print(f"first {a[k]['kind']} difference, operation {k}, in {fields[0]}:")
+                print(f"  {args.trees[0]}: {clip(a[k][fields[0]])}")
+                print(f"  {args.trees[1]}: {clip(b[k][fields[0]])}")
+        print(f"{head} differing operations by kind: {tally(a[k]['kind'] for k, _ in diffs)}"
+              f" (of {tally(rec['kind'] for rec in a)})")
+        moved = [f"{a[k]['status']}→{b[k]['status']}" for k, fields in diffs
+                 if "status" in fields]
+        print(f"{head} status transitions: {tally(moved) or 'none'}")
+    if diffs or len(a) != len(b):
         return 1
     statuses = {}
     for rec in a:
