@@ -180,6 +180,17 @@ def integrate(weights: WeightBasis, q: ChartPoint, d: Direction,
     return ChartPoint(q.chart, tuple(z))
 
 
+def _modulus(z) -> float:
+    """abs(z), or inf when z is finite but its modulus is beyond the float
+    range, where abs raises OverflowError.  math.hypot would give inf too,
+    but it rounds differently from abs in the last place, and the tracked
+    segments and verdicts keep abs's values."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _max_modulus(coords) -> float:
     return max(abs(z) for z in coords)
 
@@ -373,7 +384,7 @@ def track(f: Fan, start: ChartPoint, d: Direction, r_final: float,
         for p, (u, _), x in zip(growth, rates, z):
             if (p if forward else -p) <= 0:
                 continue
-            mod = abs(x)
+            mod = _modulus(x)
             if mod == 0.0:
                 continue  # underflowed coordinate: numerically stuck at 0
             if mod >= threshold:
@@ -516,8 +527,8 @@ def _judge(stratum, point: ChartPoint, tol: float, horizon: float) -> LimitRepor
         if not cmath.isfinite(coord):
             residual = math.inf
         elif ray in inside:
-            residual = max(residual, abs(coord))
-        elif abs(coord) < tol:
+            residual = max(residual, _modulus(coord))
+        elif _modulus(coord) < tol:
             residual = math.inf
     return LimitReport(
         predicted_stratum=stratum,
@@ -531,7 +542,7 @@ def _judge(stratum, point: ChartPoint, tol: float, horizon: float) -> LimitRepor
 def vanishing_pattern(report: LimitReport, tol: float = DEFAULT_TOL) -> IndexSet:
     """Ray indices of the final chart whose coordinates vanished."""
     pt = report.numeric_limit
-    return tuple(ray for ray, z in zip(pt.chart, pt.coords) if abs(z) <= tol)
+    return tuple(ray for ray, z in zip(pt.chart, pt.coords) if _modulus(z) <= tol)
 
 
 def trajectory_samples(f: Fan, d: Direction, segments, per_segment: int = 32):

@@ -99,8 +99,8 @@ def dump_fan(f: Fan) -> str:
 def parse_weight_data(text) -> WeightData:
     """Parse a weight document.  Only its shape is checked here: each
     basis is built without a det (WeightBasis.of_chart), and
-    toric.fan_from_weight_data proves every basis on its GKM walk, raising
-    NotUnimodular for one that is not a Z-basis."""
+    toric.fan_from_weight_data proves every basis by its dual basis,
+    raising NotUnimodular for one that is not a Z-basis."""
     doc = _document(text, "weight data")
     dim = _dim_of(doc)
     records = doc.get("fixed_points")

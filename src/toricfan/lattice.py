@@ -92,31 +92,25 @@ def _xgcd(a: int, b: int):
     return old_r, old_x, old_y
 
 
-def _row_combine(w, u, i, j, col):
+def _row_combine(w, i, j, col):
     """Unimodular row operation putting gcd(w[i][col], w[j][col]) at (i, col)
-    and 0 at (j, col); applied to the work matrix w and the transform u."""
+    and 0 at (j, col), on whole rows, so on any transform they carry."""
     a, b = w[i][col], w[j][col]
     if b == 0:
         return
     if a == 0:
         w[i], w[j] = w[j], [-x for x in w[i]]
-        u[i], u[j] = u[j], [-x for x in u[i]]
         return
     if b % a == 0:
         # plain elimination keeps the pivot row untouched (no fill-in)
         q = b // a
         w[j] = [t - q * s for s, t in zip(w[i], w[j])]
-        u[j] = [t - q * s for s, t in zip(u[i], u[j])]
         return
     g, x, y = _xgcd(a, b)
     p, q = -(b // g), a // g  # second row of the 2x2 transform, det = +1
     w[i], w[j] = (
         [x * s + y * t for s, t in zip(w[i], w[j])],
         [p * s + q * t for s, t in zip(w[i], w[j])],
-    )
-    u[i], u[j] = (
-        [x * s + y * t for s, t in zip(u[i], u[j])],
-        [p * s + q * t for s, t in zip(u[i], u[j])],
     )
 
 
@@ -130,56 +124,50 @@ def hnf(m) -> tuple[Matrix, Matrix]:
 
 
 def _hnf(m: Matrix) -> tuple[Matrix, Matrix]:
-    """hnf of a matrix already in Matrix form."""
+    """hnf of a matrix already in Matrix form.  Each work row is a row of
+    m followed by the same row of the identity, so every row operation
+    builds U alongside H: the work matrix ends as [H | U]."""
     if not m:
         raise ValueError("empty matrix")
     nrows, ncols = len(m), len(m[0])
-    w = [list(r) for r in m]
-    u = [list(r) for r in identity(nrows)]
+    w = [[*r, *e] for r, e in zip(m, identity(nrows))]
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
         for i in range(row + 1, nrows):
-            _row_combine(w, u, row, i, col)
+            _row_combine(w, row, i, col)
         if w[row][col] == 0:
             continue
         if w[row][col] < 0:
             w[row] = [-x for x in w[row]]
-            u[row] = [-x for x in u[row]]
         pivot = w[row][col]
         for i in range(row):
             q = w[i][col] // pivot
             if q:
                 w[i] = [s - q * t for s, t in zip(w[i], w[row])]
-                u[i] = [s - q * t for s, t in zip(u[i], u[row])]
         row += 1
-    return tuple(map(tuple, w)), tuple(map(tuple, u))
+    return tuple(tuple(r[:ncols]) for r in w), tuple(tuple(r[ncols:]) for r in w)
 
 
-def _col_combine(w, v, j, k, row):
-    """Column analogue of _row_combine, acting on columns j, k of w and v."""
+def _col_combine(w, j, k, row):
+    """Column analogue of _row_combine, acting on columns j, k of every row
+    of w."""
     a, b = w[row][j], w[row][k]
     if b == 0:
         return
     if a == 0:
         for r in w:
             r[j], r[k] = r[k], -r[j]
-        for r in v:
-            r[j], r[k] = r[k], -r[j]
         return
     if b % a == 0:
         q = b // a
         for r in w:
             r[k] -= q * r[j]
-        for r in v:
-            r[k] -= q * r[j]
         return
     g, x, y = _xgcd(a, b)
     p, q = -(b // g), a // g
     for r in w:
-        r[j], r[k] = x * r[j] + y * r[k], p * r[j] + q * r[k]
-    for r in v:
         r[j], r[k] = x * r[j] + y * r[k], p * r[j] + q * r[k]
 
 
@@ -187,15 +175,17 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form.
 
     Returns (S, U, V) with S = U*m*V diagonal, nonnegative, with the
-    divisibility chain d1 | d2 | ..., and U, V unimodular.
+    divisibility chain d1 | d2 | ..., and U, V unimodular.  The work
+    matrix carries both transforms: its first rows are those of m, each
+    followed by the same row of the identity (row operations build U
+    there), and under them stand the rows of the identity of m's column
+    count (column operations build V there).
     """
     m = mat(m)
     if not m:
         raise ValueError("empty matrix")
     nrows, ncols = len(m), len(m[0])
-    w = [list(r) for r in m]
-    u = [list(r) for r in identity(nrows)]
-    v = [list(r) for r in identity(ncols)]
+    w = [[*r, *e] for r, e in zip(m, identity(nrows))] + [list(e) for e in identity(ncols)]
     k = min(nrows, ncols)
 
     def diagonalize_from(t0):
@@ -210,20 +200,17 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
             i, j = pos
             if i != t:
                 w[t], w[i] = w[i], w[t]
-                u[t], u[i] = u[i], u[t]
             if j != t:
                 for r in w:
-                    r[t], r[j] = r[j], r[t]
-                for r in v:
                     r[t], r[j] = r[j], r[t]
             # row ops can refill the pivot row and vice versa; iterate
             while True:
                 for i in range(t + 1, nrows):
-                    _row_combine(w, u, t, i, t)
+                    _row_combine(w, t, i, t)
                 if all(w[t][j] == 0 for j in range(t + 1, ncols)):
                     break
                 for j in range(t + 1, ncols):
-                    _col_combine(w, v, t, j, t)
+                    _col_combine(w, t, j, t)
                 if all(w[i][t] == 0 for i in range(t + 1, nrows)):
                     break
 
@@ -241,14 +228,13 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
             continue
         for r in w:
             r[t] += r[bad]
-        for r in v:
-            r[t] += r[bad]
         diagonalize_from(t)
     for t in range(k):
         if w[t][t] < 0:
             w[t] = [-x for x in w[t]]
-            u[t] = [-x for x in u[t]]
-    return tuple(map(tuple, w)), tuple(map(tuple, u)), tuple(map(tuple, v))
+    top = w[:nrows]
+    return (tuple(tuple(r[:ncols]) for r in top), tuple(tuple(r[ncols:]) for r in top),
+            tuple(map(tuple, w[nrows:])))
 
 
 def invariant_factors(m) -> tuple[int, ...]:
@@ -289,22 +275,22 @@ def det(m) -> int:
 def dual_basis(g) -> Matrix:
     """Rows A_i with <A_i, G_j> = delta_ij for a unimodular square G.
 
-    Integer arithmetic only: the Hermite form of G is U*G with U
+    Integer arithmetic only: the Hermite form of G^T is U*G^T with U
     unimodular, and it is the identity exactly when G is unimodular; then
-    U = G^{-1} and A = (G^{-1})^T = U^T.  A square Hermite form is the
-    identity when its diagonal is all ones: a nonzero (t, t) entry for
-    every t puts each pivot on the diagonal, and the entries above a
-    pivot of 1 are reduced to 0.  That form is upper triangular, so the
-    product of its diagonal is the |det G| that NotUnimodular reports.
+    U*G^T = I, so U itself is A.  A square Hermite form is the identity
+    when its diagonal is all ones: a nonzero (t, t) entry for every t
+    puts each pivot on the diagonal, and the entries above a pivot of 1
+    are reduced to 0.  That form is upper triangular, so the product of
+    its diagonal is the |det G^T| = |det G| that NotUnimodular reports.
     """
     g = mat(g)
     n = len(g)
     if n == 0 or len(g[0]) != n:
         raise ValueError("dual basis needs a square nonempty matrix")
-    h, u = _hnf(g)
+    h, u = _hnf(transpose(g))
     if any(h[t][t] != 1 for t in range(n)):
         raise NotUnimodular(f"|det| = {prod(h[t][t] for t in range(n))}, expected 1")
-    return transpose(u)
+    return u
 
 
 def is_part_of_basis(g) -> bool:

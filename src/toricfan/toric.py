@@ -233,26 +233,34 @@ def weight_data_from_fan(f: Fan) -> WeightData:
 def fan_from_weight_data(data: WeightData) -> Fan:
     """Reconstruct the fan whose fixed-point weights are the given data.
 
-    Rays are the deduplicated dual-basis vectors across fixed points,
-    numbered by first appearance in data order; each fixed point
-    contributes the cone spanned by its dual basis, found by a walk on
-    the GKM graph (_gkm_generators).  Its weights, in ascending ray order,
-    are that cone's chart, so the rebuilt fan is handed its charts and
-    validate runs no Hermite form.  The walk proves every basis, so the
-    data need not be checked first (formats.parse_weight_data does not):
-    it raises NotUnimodular, with its |det|, for a basis that is not a
-    Z-basis.  Raises InconsistentData when two fixed points produce the
-    same cone or the assembled cones violate a fan axiom (then the data
-    does not come from a toric manifold).
+    Each fixed point's cone is spanned by the dual basis of its weights,
+    one lattice.dual_basis (one Hermite form) per fixed point.  Rays are
+    the deduplicated dual-basis vectors across fixed points, numbered by
+    first appearance in data order.  A fixed point's weights, in ascending
+    ray order, are its cone's chart, so the rebuilt fan is handed its
+    charts and validate runs no Hermite form.  Every basis is proven
+    before any cone is assembled, so the data need not be checked first
+    (formats.parse_weight_data does not): NotUnimodular names the first
+    fixed point whose weights are not a Z-basis, with its |det|.  Raises
+    InconsistentData when two fixed points produce the same cone or the
+    assembled cones violate a fan axiom (then the data does not come from
+    a toric manifold).
     """
+    generators = []
+    for basis in data.bases:
+        try:
+            generators.append(lattice.dual_basis(basis.weights))
+        except NotUnimodular as e:
+            raise NotUnimodular(
+                f"weights at {basis.fixed_point_id} are not a Z-basis: {e}") from None
     ray_index: dict[Vector, int] = {}
     rays: list[Vector] = []
     cone_owner: dict[IndexSet, str] = {}
     cones: list[IndexSet] = []
     charts: dict[IndexSet, Matrix] = {}
-    for basis, generators in zip(data.bases, _gkm_generators(data.bases)):
+    for basis, gens in zip(data.bases, generators):
         indices = []
-        for g in generators:
+        for g in gens:
             if g not in ray_index:
                 ray_index[g] = len(rays)
                 rays.append(g)
@@ -274,75 +282,3 @@ def fan_from_weight_data(data: WeightData) -> Fan:
             "assembled cones violate the fan axioms", report
         )
     return result
-
-
-def _gkm_generators(bases) -> list[Matrix]:
-    """The dual basis of every fixed point's weights, by a walk on the GKM
-    graph: one lattice.dual_basis per connected piece.
-
-    Adjacent fixed points p and q hold the weights a and -a of their
-    invariant curve and agree on the others modulo a (Goresky-Kottwitz-
-    MacPherson); this is fan._cross_wall read backwards.  Let p have
-    weight rows a_k and generators g_k, and let q hold -a_i.  Each other
-    row b of q with alpha = <b, g_i> should be a_k + alpha a_i for a
-    distinct k != i, which a dictionary of p's rows finds.  If so, q's
-    generators are p's with g_i traded for g' = -g_i + sum_k alpha_k g_k:
-    every b pairs to 1 with its g_k and to 0 with the others, and -a_i to
-    1 with g' only.  That proves B_q G_q^T = I, so they are q's dual basis,
-    once the k are checked distinct (then q's rows are a Z-basis too).  A
-    fixed point no such step reaches seeds a walk of its own, where
-    lattice.dual_basis raises NotUnimodular, naming the fixed point and
-    its |det|, unless its rows are a Z-basis.
-    """
-    rows = [tuple(map(tuple, basis.weights)) for basis in bases]
-    holders: dict[Vector, list[tuple[int, int]]] = {}
-    for q, q_rows in enumerate(rows):
-        for j, b in enumerate(q_rows):
-            holders.setdefault(b, []).append((q, j))
-    generators: list = [None] * len(bases)
-    for seed, seed_rows in enumerate(rows):
-        if generators[seed] is not None:
-            continue
-        try:
-            generators[seed] = lattice.dual_basis(seed_rows)
-        except NotUnimodular as e:
-            raise NotUnimodular(
-                f"weights at {bases[seed].fixed_point_id} are not a Z-basis: {e}") from None
-        stack = [seed]
-        while stack:
-            p = stack.pop()
-            p_rows, p_gens = rows[p], generators[p]
-            position = {a: k for k, a in enumerate(p_rows)}
-            for i, a_i in enumerate(p_rows):
-                for q, j in holders.get(tuple(-x for x in a_i), ()):
-                    if generators[q] is None:
-                        found = _across(rows[q], j, a_i, i, p_gens, position)
-                        if found is not None:
-                            generators[q] = found
-                            stack.append(q)
-    return generators
-
-
-def _across(q_rows, j: int, a_i, i: int, p_gens, position):
-    """Generators of the fixed point with weight rows q_rows, whose j-th
-    row is -a_i, from the generators p_gens of a neighbour with rows
-    indexed by `position`, a_i its i-th; None unless every other row b of
-    q is some a_k + <b, g_i> a_i for distinct k (see _gkm_generators).
-    No k is i: b = (1 + alpha) a_i would pair to 1 + alpha with g_i."""
-    g_i = p_gens[i]
-    g_new = [-x for x in g_i]
-    out = [None] * len(q_rows)
-    used = set()
-    for m, b in enumerate(q_rows):
-        if m == j:
-            continue
-        alpha = sum(map(mul, b, g_i))
-        k = position.get(tuple(x - alpha * y for x, y in zip(b, a_i)) if alpha else b)
-        if k is None or k in used:
-            return None
-        used.add(k)
-        out[m] = g_k = p_gens[k]
-        if alpha:
-            g_new = [x + alpha * y for x, y in zip(g_new, g_k)]
-    out[j] = tuple(g_new)
-    return tuple(out)

@@ -344,6 +344,19 @@ class TestLimit:
         assert recs["chart"] == "0,1" and recs["converged"] == "true"
         assert float(recs["horizon"]) < flow.R_AT_INFINITY
 
+    @pytest.mark.parametrize("xi, start", [("1,0", "0.5,1.5e308+1.5e308j"),
+                                           ("-1,0", "1.5e308+1.5e308j,0.5")])
+    def test_start_modulus_beyond_the_float_range(self, cp2_file, xi, start):
+        # both parts are finite, the modulus is not: a verdict, no traceback
+        src = os.path.dirname(os.path.dirname(os.path.abspath(toricfan.__file__)))
+        done = subprocess.run([sys.executable, "-m", "toricfan", "limit", cp2_file, f"--xi={xi}",
+                               "--chart", "0,1", f"--start={start}", "--format", "machine"],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode in (0, 1), done.stderr
+        assert done.stderr == ""
+        assert done.stdout.splitlines()[-1] in ("converged true", "converged false")
+
     @pytest.mark.parametrize("value", ["0", "-1", "-1e-3", "nan", "inf", "-inf"])
     def test_bad_tol_rejected(self, cp2_file, value, capsys):
         assert main(["limit", cp2_file, "--xi=1,-1", f"--tol={value}"]) == 2

@@ -22,6 +22,32 @@ matrices = st.integers(1, 4).flatmap(
 )
 
 
+
+def _pad(rows, zero_rows, zero_cols):
+    """rows with zero columns inserted before the given column positions
+    and zero rows inserted before the given row positions."""
+    out = []
+    for r in rows:
+        r = list(r)
+        for j in sorted(zero_cols, reverse=True):
+            r.insert(min(j, len(r)), 0)
+        out.append(r)
+    width = len(out[0])
+    for i in sorted(zero_rows, reverse=True):
+        out.insert(min(i, len(out)), [0] * width)
+    return out
+
+
+# rectangular matrices up to 6 x 6 with at least one zero row or column
+padded_matrices = st.builds(
+    _pad,
+    st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=4)),
+    st.lists(st.integers(0, 4), max_size=2),
+    st.lists(st.integers(0, 4), max_size=2),
+).filter(lambda m: not all(map(any, m)) or not all(map(any, zip(*m))))
+
+
 def is_hnf_shape(h):
     pivots = []
     for row in h:
@@ -95,6 +121,16 @@ class TestHnf:
         assert lattice.det(u) in (1, -1)
         assert is_hnf_shape(h)
 
+    @given(padded_matrices)
+    @settings(max_examples=150)
+    def test_invariants_with_zero_rows_and_columns(self, rows):
+        m = lattice.mat(rows)
+        h, u = lattice.hnf(m)
+        assert len(h) == len(u) == len(m) and len(h[0]) == len(m[0])
+        assert lattice.mat_mul(u, m) == h
+        assert lattice.det(u) in (1, -1)
+        assert is_hnf_shape(h)
+
 
 class TestSnf:
     def test_pinned_example(self):
@@ -109,7 +145,7 @@ class TestSnf:
         s, _, _ = lattice.snf([[1, 0], [0, 1], [-1, -1]])
         assert s == ((1, 0), (0, 1), (0, 0))
 
-    @given(matrices)
+    @given(st.one_of(matrices, padded_matrices))
     @settings(max_examples=150)
     def test_invariants(self, rows):
         m = lattice.mat(rows)
@@ -163,8 +199,9 @@ class TestDualBasis:
         st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
     @settings(max_examples=200)
     def test_rejects_exactly_when_det_is_not_a_unit(self, rows):
-        if abs(perm_det(rows)) != 1:
-            with pytest.raises(NotUnimodular):
+        d = abs(perm_det(rows))
+        if d != 1:
+            with pytest.raises(NotUnimodular, match=rf"^\|det\| = {d}, expected 1$"):
                 lattice.dual_basis(rows)
         else:
             a = lattice.dual_basis(rows)

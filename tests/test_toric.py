@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import complete_builtins, random_unimodular, subdivision_iterates
 from toricfan import cli, lattice, toric
@@ -382,13 +384,39 @@ def dual_basis_calls(monkeypatch):
     return calls
 
 
+def product_fan(a, b):
+    """The product fan: rays (r, 0) and (0, s), cones c x d."""
+    zero_a, zero_b = (0,) * a.ambient_dim, (0,) * b.ambient_dim
+    rays = [r + zero_b for r in a.rays] + [zero_a + s for s in b.rays]
+    shift = a.ray_count
+    return make_fan(rays, [c + tuple(shift + i for i in d)
+                           for c in a.maximal_cones for d in b.maximal_cones])
+
+
+def p1_power(k):
+    """(P^1)^k: rays +-e_i and 2^k maximal cones."""
+    f = cp1()
+    for _ in range(k - 1):
+        f = product_fan(f, cp1())
+    return f
+
+
+PRODUCTS = [p1_power(k) for k in range(1, 7)] + [product_fan(cp1(), CP2),
+                                                 product_fan(CP2, hirzebruch(1))]
+
+
 class TestGKMReconstruction:
     def test_generators_are_the_dual_bases(self, dual_basis_calls):
         for data in gkm_corpus():
-            expected = [lattice.dual_basis(b.weights) for b in data.bases]
             del dual_basis_calls[:]
-            assert toric._gkm_generators(data.bases) == expected
-            assert len(dual_basis_calls) == 1  # one GKM graph: one seed
+            f = toric.fan_from_weight_data(data)
+            # one Hermite form per fixed point, on its own weights, in data order
+            assert dual_basis_calls == [b.weights for b in data.bases]
+            for basis in data.bases:
+                gens = lattice.dual_basis(basis.weights)
+                cone = tuple(sorted(f.rays.index(g) for g in gens))
+                assert f.is_maximal(cone)
+                assert sorted(f.charts[cone]) == sorted(basis.weights)
 
     def test_same_rays_cones_and_errors_as_the_reference(self):
         for data in gkm_corpus():
@@ -407,14 +435,38 @@ class TestGKMReconstruction:
         data = toric.weight_data_from_fan(cpn(10))
         del dual_basis_calls[:]
         f = toric.fan_from_weight_data(data)
-        assert len(dual_basis_calls) == 1
+        assert len(dual_basis_calls) == 11  # one per fixed point
         assert fans_equal(f, cpn(10))
 
-    def test_perturbed_neighbour_gives_the_reference_error(self):
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.sampled_from(PRODUCTS), st.integers(0, 10 ** 6))
+    def test_products_and_their_images_round_trip(self, f, seed):
+        f = image_under(random_unimodular(f.ambient_dim, random.Random(seed)), f)
+        data = toric.weight_data_from_fan(f)
+        calls = []
+        original = lattice.dual_basis
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "dual_basis", lambda g: calls.append(g) or original(g))
+            rebuilt = toric.fan_from_weight_data(data)
+            assert len(calls) == len(data.bases)
+            assert fans_equal(rebuilt, f)
+            assert None not in rebuilt.charts.values() and validate(rebuilt).ok
+            assert len(calls) == len(data.bases)  # none on the rebuilt fan
+
+    def test_p1_power_10_makes_one_hermite_form_per_fixed_point(self, dual_basis_calls):
+        """No neighbour search: (P^1)^10 has 1024 fixed points, and each
+        weight +-e_i is held by 512 of them; it makes 1024 Hermite forms."""
+        data = toric.weight_data_from_fan(p1_power(10))
+        del dual_basis_calls[:]
+        f = toric.fan_from_weight_data(data)
+        assert len(dual_basis_calls) == 1024
+        assert len(f.maximal_cones) == 1024 and f.ray_count == 20
+
+    def test_perturbed_neighbour_gives_the_reference_error(self, dual_basis_calls):
         """Adding one weight row to another at one fixed point keeps a
-        Z-basis there but breaks the fan: the generators stay the dual
-        bases (by the rule from a neighbour or a seed of their own) and
-        the fan-level check raises the reference's error."""
+        Z-basis there but breaks the fan: each fixed point's weights are
+        proven by their own dual basis and the fan-level check raises the
+        reference's error."""
         rng = random.Random(5)
         perturbed = 0
         for f in list(complete_builtins().values())[1:] + subdivision_iterates():
@@ -426,30 +478,28 @@ class TestGKMReconstruction:
             rows[k] = tuple(x + y for x, y in zip(rows[k], rows[m]))  # still a Z-basis
             bases[q] = toric.WeightBasis(bases[q].fixed_point_id, tuple(rows))
             data = toric.WeightData(data.dim, tuple(bases))
-            assert toric._gkm_generators(data.bases) == \
-                [lattice.dual_basis(b.weights) for b in data.bases]
+            del dual_basis_calls[:]
             got = reconstruction_outcome(toric.fan_from_weight_data, data)
+            assert dual_basis_calls == [b.weights for b in data.bases]
             assert got[0] == "InconsistentData"
             assert got == reconstruction_outcome(reference_reconstruction, data)
             perturbed += 1
         assert perturbed == 16
 
     def test_a_failed_exchange_seeds_a_walk(self, dual_basis_calls):
-        # q holds -e1 but (1, 1, 1) - <(1, 1, 1), e1> e1 is no weight of p
+        # q holds -e1 but (1, 1, 1) - <(1, 1, 1), e1> e1 is no weight of p,
+        # so p and q are no GKM neighbours; each gets its own dual basis
         data = toric.WeightData(3, (
             toric.WeightBasis("p", ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
             toric.WeightBasis("q", ((-1, 0, 0), (0, 1, 0), (1, 1, 1))),
         ))
-        assert toric._gkm_generators(data.bases) == \
-            [lattice.dual_basis(b.weights) for b in data.bases]
-        assert len(dual_basis_calls) == 2 + 2
-        assert reconstruction_outcome(toric.fan_from_weight_data, data) == \
-            reconstruction_outcome(reference_reconstruction, data)
+        got = reconstruction_outcome(toric.fan_from_weight_data, data)
+        assert dual_basis_calls == [b.weights for b in data.bases]
+        assert got == reconstruction_outcome(reference_reconstruction, data)
 
     def test_unchecked_non_bases_raise_with_their_det(self, dual_basis_calls):
-        # built as parse_weight_data builds them, without a det: q's rows
-        # (-e1, e2, e2) match p's e2 twice, so no walk step reaches q, and
-        # its own seed proves it is no Z-basis
+        # built as parse_weight_data builds them, without a det: q's own
+        # dual basis proves it is no Z-basis, whatever the order
         p = toric.WeightBasis.of_chart("p", ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         q = toric.WeightBasis.of_chart("q", ((-1, 0, 0), (0, 1, 0), (0, 1, 0)))
         for bases in [(p, q), (q, p)]:
@@ -467,3 +517,12 @@ class TestGKMReconstruction:
         with pytest.raises(InconsistentData, match="'p' and 'q' yield the same cone"):
             toric.fan_from_weight_data(data)
         assert len(dual_basis_calls) == 2
+
+    def test_non_basis_reported_before_a_duplicate_cone(self):
+        # every basis is proven before any cone is assembled
+        bases = (toric.WeightBasis.of_chart("p", ((1, 0), (0, 1))),
+                 toric.WeightBasis.of_chart("q", ((1, 0), (0, 1))),
+                 toric.WeightBasis.of_chart("r", ((1, 1), (2, 2))))
+        with pytest.raises(NotUnimodular,
+                           match=r"^weights at r are not a Z-basis: \|det\| = 0, expected 1$"):
+            toric.fan_from_weight_data(toric.WeightData(2, bases))
