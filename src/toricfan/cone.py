@@ -5,13 +5,15 @@ empty index set is the zero cone {0}.  Cones here are simplicial by
 construction (independent generators), so faces are exactly the generator
 subsets.  Membership tests and pairwise intersection are exact integer
 lattice algebra: a cone's facet normals and span equations come from one
-Smith normal form of its generators, and intersections from an
-incremental double description conversion, never floating point.
+Hermite normal form of its transposed generators, cached on the cone, and
+intersections from an incremental double description conversion, never
+floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -80,6 +82,11 @@ class Cone:
     def generators(self) -> tuple[Vector, ...]:
         return tuple(self.table[i] for i in self.indices)
 
+    @cached_property
+    def description(self):
+        """(ineqs, eqns) of halfspace_description, computed once."""
+        return halfspace_description(self.generators, self.ambient_dim)
+
     def __repr__(self):
         return f"Cone{set(self.indices) if self.indices else '{0}'}"
 
@@ -91,14 +98,14 @@ def make_cone(table: RayTable, indices) -> Cone:
         raise MalformedInput(f"repeated ray index in {indices}")
     if idx and not (0 <= idx[0] and idx[-1] < len(table)):
         raise MalformedInput(f"ray index out of range in {indices}")
-    gens = [table[i] for i in idx]
-    if gens:
-        factors = lattice.invariant_factors(gens)
-        if len(factors) != len(gens):
-            raise DependentGenerators(f"generators of {set(idx)} are dependent")
-        if any(d != 1 for d in factors):
-            raise NotUnimodular(f"generators of {set(idx)} are not part of a Z-basis")
-    return Cone(table, idx)
+    c = Cone(table, idx)
+    try:
+        description = c.description
+    except DependentGenerators:
+        raise DependentGenerators(f"generators of {set(idx)} are dependent") from None
+    if not unimodular(description, c.generators):
+        raise NotUnimodular(f"generators of {set(idx)} are not part of a Z-basis")
+    return c
 
 
 def faces(c: Cone) -> frozenset[Cone]:
@@ -112,7 +119,7 @@ def faces(c: Cone) -> frozenset[Cone]:
 
 def contains(c: Cone, v) -> bool:
     """Exact membership of an integer or rational vector."""
-    p = facet_pairings(halfspace_description(c.generators, c.ambient_dim), v)
+    p = facet_pairings(c.description, v)
     return p is not None and all(x >= 0 for x in p)
 
 
@@ -121,7 +128,7 @@ def relative_interior_contains(c: Cone, v) -> bool:
 
     For the zero cone this holds exactly for v = 0.
     """
-    p = facet_pairings(halfspace_description(c.generators, c.ambient_dim), v)
+    p = facet_pairings(c.description, v)
     return p is not None and all(x > 0 for x in p)
 
 
@@ -143,7 +150,15 @@ def intersect(c1: Cone, c2: Cone) -> tuple[Vector, ...]:
     """
     if c1.table is not c2.table and c1.table != c2.table:
         raise MalformedInput("cones live on different ray tables")
-    return intersect_generators(c1.generators, c2.generators, c1.ambient_dim)
+    return intersect_descriptions(c1.description, c2.description, c1.ambient_dim)
+
+
+def unimodular(description, generators) -> bool:
+    """Do the generators of a cone with this (ineqs, eqns) description
+    extend to a Z-basis?  Exactly when every facet normal pairs to 1 with
+    its own generator: then the normals' pairings invert the generator
+    matrix over Z, so the generators span a saturated sublattice."""
+    return all(sum(map(mul, a, g)) == 1 for a, g in zip(description[0], generators))
 
 
 def halfspace_description(generators, n):
@@ -153,30 +168,40 @@ def halfspace_description(generators, n):
     { x : <a, x> >= 0 for a in ineqs, <e, x> = 0 for e in eqns }.  ineqs[i]
     is primitive, positive on the i-th generator and zero on the others.
 
-    One Smith form S = U*G*V of the k generator rows G, with invariant
-    factors d_1 | ... | d_k, gives both: G*V = U^-1 * S, so
-    x = V[:, :k] * diag(d_k / d_t) * U[:, i] has G*x = d_k e_i, and the
-    columns of V past k, a basis of the integer kernel of G, are the
-    equations.  For a unimodular full-dimensional cone the normals are
-    the columns of V*U = G^-1, its integer dual basis.
+    One Hermite form H = U*G^T of the transposed k x n generator matrix
+    gives both.  The generators are independent exactly when the diagonal
+    of H's top k x k triangle T is nonzero; then the rows of U past k
+    vanish on the generators and are the equations.  The rows U[:k] pair
+    with the generators as T does: for a unimodular cone T is the
+    identity and they are the normals (for a full-dimensional one, its
+    dual basis as lattice.dual_basis gives it); for any other cone the
+    i-th normal is y*U[:k] with y*T a positive multiple of e_i, found by
+    integer back-substitution through the triangle.
     """
     k = len(generators)
     if k == 0:
         return (), tuple(lattice.identity(n))
-    s, u, v = lattice.snf(generators)
-    if k > n or s[k - 1][k - 1] == 0:
+    h, u = lattice.hnf(lattice.transpose(generators))
+    if k > n or any(h[t][t] == 0 for t in range(k)):
         raise DependentGenerators("generators do not span a simplicial cone")
-    top = s[k - 1][k - 1]
-    scaled = [[v[r][t] * (top // s[t][t]) for t in range(k)] for r in range(n)]
-    normals = lattice.transpose(lattice.mat_mul(scaled, u))
-    return (tuple(lattice.primitive(a) for a in normals),
-            tuple(tuple(row[t] for row in v) for t in range(k, n)))
+    if all(h[t][t] == 1 for t in range(k)):
+        return u[:k], u[k:]
+    normals = []
+    for i in range(k):
+        y = [0] * k
+        y[i] = 1
+        for j in range(i + 1, k):
+            # scale y so that y[j] = -sum_{r<j} y[r] h[r][j] / h[j][j] is integral
+            num = -sum(y[r] * h[r][j] for r in range(i, j))
+            y = [x * h[j][j] for x in y]
+            y[j] = num
+        normals.append(lattice.primitive(
+            [sum(y[r] * u[r][c] for r in range(i, k)) for c in range(n)]))
+    return tuple(normals), u[k:]
 
 
 def intersect_generators(gens1, gens2, n) -> tuple[Vector, ...]:
     """Extreme rays of the intersection of two simplicial cones in Z^n."""
-    if not gens1 or not gens2:
-        return ()
     return intersect_descriptions(
         halfspace_description(gens1, n), halfspace_description(gens2, n), n
     )

@@ -28,9 +28,11 @@ from .cone import (
     halfspace_description,
     intersect_descriptions,
     make_table,
+    unimodular,
 )
 from .errors import (
     DegenerateSubdivision,
+    DependentGenerators,
     MalformedInput,
     NotMaximal,
     NotUnimodular,
@@ -236,8 +238,8 @@ class Fan:
 
         A full-dimensional unimodular maximal cone's normals are its chart
         (chart_weights) and it has no equations; any other cone gets
-        cone.halfspace_description, from one Smith form of its generators,
-        which agrees with that dual basis wherever both apply.
+        cone.halfspace_description, from one Hermite form of its transposed
+        generators, which gives that same dual basis wherever both apply.
         """
         hit = self._description_cache.get(indices) if type(indices) is tuple else None
         if hit is not None:
@@ -421,7 +423,8 @@ def _pairwise_violations(f: Fan) -> tuple[Violation, ...]:
     Face closure holds by definition (a cone of the fan is any subset of
     a maximal cone), so it is not checked.
     Unimodularity is checked on the listed cones (faces of unimodular
-    cones are unimodular).  The intersection axiom is checked on pairs of
+    cones are unimodular), read off their cached descriptions (see
+    cone.unimodular).  The intersection axiom is checked on pairs of
     listed cones, which suffices for simplicial fans: a pair passes at once
     when a linear functional separates the two cones along their common
     face (see _separated), and only the other pairs go to an exact
@@ -430,18 +433,15 @@ def _pairwise_violations(f: Fan) -> tuple[Violation, ...]:
     violations = []
     independent = []
     for c in f.maximal_cones:
-        gens = f.generators(c)
-        if not gens or f.chart_weights(c) is not None:
-            independent.append(c)
-            continue
-        factors = lattice.invariant_factors(gens)
-        if len(factors) != len(gens):
+        try:
+            description = f.description(c)
+        except DependentGenerators:
             violations.append(
                 Violation("unimodular", (c,), "generators are linearly dependent")
             )
             continue
         independent.append(c)
-        if any(d != 1 for d in factors):
+        if not unimodular(description, f.generators(c)):
             violations.append(
                 Violation("unimodular", (c,), "generators are not part of a Z-basis")
             )

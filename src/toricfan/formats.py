@@ -98,7 +98,7 @@ def dump_fan(f: Fan) -> str:
 
 def parse_weight_data(text) -> WeightData:
     """Parse a weight document.  Only its shape is checked here: each
-    basis is built without a det (WeightBasis.of_chart), and
+    basis is built unchecked (WeightBasis.of_chart), and
     toric.fan_from_weight_data proves every basis by its dual basis,
     raising NotUnimodular for one that is not a Z-basis."""
     doc = _document(text, "weight data")

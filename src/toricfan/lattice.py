@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
+from operator import add
 
 from .errors import NotUnimodular, ZeroVector
 
@@ -94,10 +95,9 @@ def _xgcd(a: int, b: int):
 
 def _row_combine(w, i, j, col):
     """Unimodular row operation putting gcd(w[i][col], w[j][col]) at (i, col)
-    and 0 at (j, col), on whole rows, so on any transform they carry."""
+    and 0 at (j, col), on whole rows, so on any transform they carry.
+    w[j][col] must be nonzero."""
     a, b = w[i][col], w[j][col]
-    if b == 0:
-        return
     if a == 0:
         w[i], w[j] = w[j], [-x for x in w[i]]
         return
@@ -123,20 +123,22 @@ def hnf(m) -> tuple[Matrix, Matrix]:
     return _hnf(mat(m))
 
 
-def _hnf(m: Matrix) -> tuple[Matrix, Matrix]:
-    """hnf of a matrix already in Matrix form.  Each work row is a row of
-    m followed by the same row of the identity, so every row operation
-    builds U alongside H: the work matrix ends as [H | U]."""
+def _hnf(m: Matrix, carry: Matrix | None = None) -> tuple[Matrix, Matrix]:
+    """hnf of a matrix already in Matrix form, the one integer elimination
+    of the package.  Each work row is a row of m followed by the same row
+    of `carry` (the identity by default), so every row operation applies
+    to both: the work matrix ends as [H | U*carry]."""
     if not m:
         raise ValueError("empty matrix")
     nrows, ncols = len(m), len(m[0])
-    w = [[*r, *e] for r, e in zip(m, identity(nrows))]
+    w = [[*r, *e] for r, e in zip(m, identity(nrows) if carry is None else carry)]
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
         for i in range(row + 1, nrows):
-            _row_combine(w, row, i, col)
+            if w[i][col]:
+                _row_combine(w, row, i, col)
         if w[row][col] == 0:
             continue
         if w[row][col] < 0:
@@ -150,91 +152,38 @@ def _hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     return tuple(tuple(r[:ncols]) for r in w), tuple(tuple(r[ncols:]) for r in w)
 
 
-def _col_combine(w, j, k, row):
-    """Column analogue of _row_combine, acting on columns j, k of every row
-    of w."""
-    a, b = w[row][j], w[row][k]
-    if b == 0:
-        return
-    if a == 0:
-        for r in w:
-            r[j], r[k] = r[k], -r[j]
-        return
-    if b % a == 0:
-        q = b // a
-        for r in w:
-            r[k] -= q * r[j]
-        return
-    g, x, y = _xgcd(a, b)
-    p, q = -(b // g), a // g
-    for r in w:
-        r[j], r[k] = x * r[j] + y * r[k], p * r[j] + q * r[k]
-
-
 def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form.
 
     Returns (S, U, V) with S = U*m*V diagonal, nonnegative, with the
-    divisibility chain d1 | d2 | ..., and U, V unimodular.  The work
-    matrix carries both transforms: its first rows are those of m, each
-    followed by the same row of the identity (row operations build U
-    there), and under them stand the rows of the identity of m's column
-    count (column operations build V there).
+    divisibility chain d1 | d2 | ..., and U, V unimodular.  Built from
+    Hermite forms alone (Kannan and Bachem, SIAM J. Comput. 8, 1979):
+    row passes _hnf(S, U) alternate with column passes, Hermite forms of
+    S^T carrying V^T, until S is diagonal.  A d_t that does not divide a
+    later d_j is repaired by adding column j to column t; a row pass must
+    follow, since a column pass would clear column t again.
     """
-    m = mat(m)
-    if not m:
-        raise ValueError("empty matrix")
-    nrows, ncols = len(m), len(m[0])
-    w = [[*r, *e] for r, e in zip(m, identity(nrows))] + [list(e) for e in identity(ncols)]
-    k = min(nrows, ncols)
-
-    def diagonalize_from(t0):
-        for t in range(t0, k):
-            # move a nonzero entry to the (t, t) slot
-            pos = next(
-                ((i, j) for i in range(t, nrows) for j in range(t, ncols) if w[i][j]),
-                None,
-            )
-            if pos is None:
-                return
-            i, j = pos
-            if i != t:
-                w[t], w[i] = w[i], w[t]
-            if j != t:
-                for r in w:
-                    r[t], r[j] = r[j], r[t]
-            # row ops can refill the pivot row and vice versa; iterate
-            while True:
-                for i in range(t + 1, nrows):
-                    _row_combine(w, t, i, t)
-                if all(w[t][j] == 0 for j in range(t + 1, ncols)):
-                    break
-                for j in range(t + 1, ncols):
-                    _col_combine(w, t, j, t)
-                if all(w[i][t] == 0 for i in range(t + 1, nrows)):
-                    break
-
-    diagonalize_from(0)
-    # enforce the divisibility chain; a violation is repaired by folding the
-    # offending diagonal entry into column t and rediagonalizing from t
-    t = 0
-    while t < k - 1:
-        a = w[t][t]
-        bad = next(
-            (j for j in range(t + 1, k) if w[j][j] and (a == 0 or w[j][j] % a)), None
-        )
-        if bad is None:
-            t += 1
+    s, u = _hnf(mat(m))
+    vt = identity(len(s[0]))
+    row_pass = False
+    while True:
+        if any(x for i, r in enumerate(s) for j, x in enumerate(r) if i != j):
+            if row_pass:
+                s, u = _hnf(s, u)
+            else:
+                st, vt = _hnf(transpose(s), vt)
+                s = transpose(st)
+            row_pass = not row_pass
             continue
-        for r in w:
-            r[t] += r[bad]
-        diagonalize_from(t)
-    for t in range(k):
-        if w[t][t] < 0:
-            w[t] = [-x for x in w[t]]
-    top = w[:nrows]
-    return (tuple(tuple(r[:ncols]) for r in top), tuple(tuple(r[ncols:]) for r in top),
-            tuple(map(tuple, w[nrows:])))
+        d = _diagonal(s)
+        bad = next(((t, j) for t in range(len(d)) for j in range(t + 1, len(d))
+                    if d[j] % d[t]), None)
+        if bad is None:
+            return s, u, transpose(vt)
+        t, j = bad
+        s = tuple(r[:t] + (r[t] + r[j],) + r[t + 1:] for r in s)
+        vt = tuple(r if i != t else tuple(map(add, r, vt[j])) for i, r in enumerate(vt))
+        row_pass = True
 
 
 def invariant_factors(m) -> tuple[int, ...]:
@@ -296,15 +245,18 @@ def dual_basis(g) -> Matrix:
 def is_part_of_basis(g) -> bool:
     """Do the rows of g extend to a Z-basis of Z^n?
 
-    True iff g has full row rank and every invariant factor equals 1.
+    True iff the k x k top of the Hermite form of g^T has all ones on its
+    diagonal, as in dual_basis: the product of that diagonal is the gcd of
+    g's k x k minors, and 0 when g's rank is below k.
     """
     g = mat(g)
     if not g:
         return True
-    if len(g) > len(g[0]):
+    k = len(g)
+    if k > len(g[0]):
         return False
-    factors = invariant_factors(g)
-    return len(factors) == len(g) and all(f == 1 for f in factors)
+    h, _ = _hnf(transpose(g))
+    return all(h[t][t] == 1 for t in range(k))
 
 
 # --- exact rational elimination ----------------------------------------------
@@ -372,27 +324,21 @@ def rational_kernel(m) -> tuple[Vector, ...]:
 
 
 def integer_kernel_basis(m) -> tuple[Vector, ...]:
-    """Primitive basis of the integer kernel { x in Z^c : m x = 0 }.
+    """Basis of the integer kernel { x in Z^c : m x = 0 } in Hermite
+    normal form, so independent of the elimination.
 
-    Comes from the Smith decomposition, so the basis spans a saturated
-    sublattice.  Each vector is sign-normalized (first nonzero entry > 0).
+    With H = U*m^T, the rows of U past m's rank are a basis of the kernel,
+    spanning a saturated sublattice since U is unimodular.
     """
-    return kernel_and_invariant_factors(m)[0]
+    h, u = _hnf(transpose(mat(m)))
+    r = sum(1 for row in h if any(row))
+    return _hnf(u[r:])[0] if r < len(u) else ()
 
 
 def kernel_and_invariant_factors(m) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """integer_kernel_basis(m) and invariant_factors(m) from one Smith form.
-
-    With S = U*m*V, the kernel basis is the columns of V past the nonzero
-    diagonal of S.  A matrix and its transpose have the same invariant
-    factors, so this also gives those of m's transpose.
-    """
-    s, _, v = snf(m)
-    k = min(len(s), len(s[0]))
-    cols = transpose(v)
-    kernel = tuple(sign_normalize(cols[i]) for i in range(len(s[0]))
-                   if i >= k or s[i][i] == 0)
-    return kernel, _diagonal(s)
+    """integer_kernel_basis(m) and invariant_factors(m), which are also
+    the invariant factors of m's transpose."""
+    return integer_kernel_basis(m), invariant_factors(m)
 
 
 def clear_denominators(x) -> Vector:
@@ -401,10 +347,3 @@ def clear_denominators(x) -> Vector:
     mult = lcm(*(f.denominator for f in fr)) if fr else 1
     ints = [int(f * mult) for f in fr]
     return primitive(ints)
-
-
-def sign_normalize(x) -> Vector:
-    """Flip the sign so the first nonzero entry is positive."""
-    x = vec(x)
-    lead = next((t for t in x if t), 0)
-    return tuple(-t for t in x) if lead < 0 else x

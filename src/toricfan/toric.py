@@ -32,19 +32,18 @@ class WeightBasis:
         if n == 0 or any(len(row) != n for row in self.weights):
             raise MalformedInput("weight basis must be square and nonempty")
         try:
-            d = lattice.det(self.weights)
+            weights = lattice.mat(self.weights)
         except ValueError as e:
             raise MalformedInput(f"weights at {self.fixed_point_id}: {e}") from None
-        if d not in (1, -1):
-            raise NotUnimodular(
-                f"weights at {self.fixed_point_id} are not a Z-basis"
-            )
+        if not lattice.is_part_of_basis(weights):
+            raise NotUnimodular(f"weights at {self.fixed_point_id} are not a Z-basis")
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def of_chart(cls, fixed_point_id: str, weights: Matrix) -> "WeightBasis":
-        """The basis of the given rows, built without the det check: for
-        rows a fan has proven a Z-basis (a chart, see Fan.charts), and for
-        parsed weight data, which fan_from_weight_data proves."""
+        """The basis of the given rows, built without the Z-basis check:
+        for rows a fan has proven a Z-basis (a chart, see Fan.charts), and
+        for parsed weight data, which fan_from_weight_data proves."""
         basis = object.__new__(cls)
         object.__setattr__(basis, "fixed_point_id", fixed_point_id)
         object.__setattr__(basis, "weights", weights)
@@ -128,7 +127,7 @@ def weight_matrix(f: Fan, cone_indices) -> Matrix:
 
 def isotropy_weights(f: Fan, cone_indices) -> WeightBasis:
     """Weight basis of the fixed point of a full-dimensional cone: the
-    fan's chart, proven once, so no det runs here."""
+    fan's chart, proven once, so no Hermite form runs here."""
     return WeightBasis.of_chart(chart_label(cone_indices), weight_matrix(f, cone_indices))
 
 
@@ -174,8 +173,8 @@ def quotient_presentation(f: Fan) -> QuotientPresentation:
     sigma is a kernel vector supported on sigma, hence 0.  sigma's rays
     span the lattice, so the component group is trivial (Cox, J.
     Algebraic Geom. 4, 1995).  That is O(r n^2); a fan with no chart gets
-    one Smith form of the transposed ray matrix, for its kernel and the
-    invariant factors it shares with the ray matrix.
+    its kernel from the Hermite form of the ray matrix and its component
+    group from one Smith form (lattice.kernel_and_invariant_factors).
     """
     rays = f.rays
     chart = next(((c, rows) for c, rows in f.charts.items() if rows is not None), None)
@@ -196,7 +195,7 @@ def quotient_presentation(f: Fan) -> QuotientPresentation:
 def _chart_kernel(rays, cone: IndexSet, rows: Matrix) -> tuple[Vector, ...]:
     """The kernel basis of quotient_presentation from the chart `rows` of
     the sorted `cone`, one vector per ray outside the cone, each
-    sign-normalized (first nonzero entry positive) as the Smith form's are."""
+    sign-normalized (first nonzero entry positive) as a Hermite form's are."""
     inside = set(cone)
     kernel = []
     for r, v in enumerate(rays):

@@ -39,6 +39,16 @@ class TestMakeCone:
         with pytest.raises(MalformedInput):
             cone.make_cone(STD2, (0, 7))
 
+    def test_description_computed_once(self, monkeypatch):
+        calls = []
+        original = cone.halfspace_description
+        monkeypatch.setattr(cone, "halfspace_description",
+                            lambda *a: calls.append(a) or original(*a))
+        c = cone.make_cone(CP2, (0, 2))
+        points = [(x, -1) for x in range(-5, 5)]
+        assert [cone.contains(c, v) for v in points] == [x >= -1 for x, _ in points]
+        assert len(calls) == 1
+
     def test_rejects_duplicate_index(self):
         with pytest.raises(MalformedInput):
             cone.make_cone(STD2, (0, 0))
@@ -275,6 +285,8 @@ class TestHalfspaceDescription:
                 assert p > 0 if i == j else p == 0
         assert all(lattice.dot(e, g) == 0 for e in eqns for g in gens)
         assert lattice.rational_rank(eqns) == n - k
+        pairs_to_one = all(lattice.dot(a, g) == 1 for a, g in zip(ineqs, gens))
+        assert pairs_to_one == lattice.is_part_of_basis(gens)
         if k == n and abs(lattice.det(gens)) == 1:
             assert ineqs == lattice.dual_basis(gens)
 

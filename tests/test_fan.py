@@ -1251,3 +1251,18 @@ class TestIntegerKernelOnly:
                     if hasattr(module, fn):
                         monkeypatch.setattr(module, fn, forbidden)
         assert exact_kernel_results() == expected
+
+    def test_same_results_without_smith_forms_or_det(self, monkeypatch):
+        """Every exact cone and fan path runs on Hermite forms alone: with
+        snf, invariant_factors and det raising, the results are unchanged."""
+        expected = exact_kernel_results()
+
+        def forbidden(*args):
+            raise AssertionError("Smith form or det called")
+
+        for name, module in list(sys.modules.items()):
+            if name == "toricfan" or name.startswith("toricfan."):
+                for fn in ("snf", "invariant_factors", "det"):
+                    if hasattr(module, fn):
+                        monkeypatch.setattr(module, fn, forbidden)
+        assert exact_kernel_results() == expected

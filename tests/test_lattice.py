@@ -145,6 +145,11 @@ class TestSnf:
         s, _, _ = lattice.snf([[1, 0], [0, 1], [-1, -1]])
         assert s == ((1, 0), (0, 1), (0, 0))
 
+    def test_divisibility_repair_is_followed_by_a_row_pass(self):
+        # the Hermite passes leave diag(2, 9) here; repairing the chain and
+        # then taking a column pass would undo the repair and never end
+        assert lattice.snf(((-2, 5), (0, -9), (4, 8)))[0] == ((1, 0), (0, 18), (0, 0))
+
     @given(st.one_of(matrices, padded_matrices))
     @settings(max_examples=150)
     def test_invariants(self, rows):
@@ -351,3 +356,14 @@ class TestKernel:
 
     def test_trivial_kernel(self):
         assert lattice.integer_kernel_basis(lattice.identity(3)) == ()
+
+    @given(st.one_of(matrices, padded_matrices))
+    @settings(max_examples=150)
+    def test_kernel_basis_is_its_own_hermite_form_and_saturated(self, rows):
+        m = lattice.mat(rows)
+        basis = lattice.integer_kernel_basis(m)
+        assert len(basis) == len(m[0]) - lattice.rational_rank(m)
+        assert all(lattice.mat_vec(m, x) == (0,) * len(m) for x in basis)
+        if basis:
+            assert lattice.hnf(basis)[0] == basis
+            assert lattice.is_part_of_basis(basis)

@@ -212,6 +212,19 @@ class TestWeightData:
     def test_integral_values_of_other_types_accepted(self):
         assert toric.WeightBasis("p", ((1.0, 0), (0, Fraction(-2, 2)))).dim == 2
 
+    def test_integral_values_of_other_types_stored_as_ints(self):
+        basis = toric.WeightBasis("p", ((1.0, 0), (0, Fraction(-2, 2))))
+        f = toric.fan_from_weight_data(toric.WeightData(2, (basis,)))
+        exponents = toric.transition(f, (0, 1), (0, 1)).exponents
+        assert basis.weights == f.charts[(0, 1)] == ((1, 0), (0, -1))
+        assert exponents == lattice.identity(2)
+        for m in (basis.weights, f.charts[(0, 1)], exponents):
+            assert all(type(x) is int for row in m for x in row)
+
+    def test_non_basis_message(self):
+        with pytest.raises(NotUnimodular, match=r"^weights at p are not a Z-basis$"):
+            toric.WeightBasis("p", ((2.0, 1), (Fraction(4, 2), 1)))
+
 
 @pytest.fixture
 def proofs(monkeypatch):
